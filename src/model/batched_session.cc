@@ -8,13 +8,15 @@
 namespace infuserki::model {
 namespace {
 
-/// Batched-engine metrics. Shares the engine/prefill_tokens and
-/// engine/decode_tokens streams with DecodeSession (same registry names)
-/// and adds per-step batching telemetry.
+/// Engine metrics: prefill = multi-token rows (prompt ingestion), decode =
+/// single-token rows; the reuse counter tallies cached rows each new
+/// position attended to instead of recomputing. Plus per-step batching
+/// telemetry.
 struct BatchedMetrics {
   obs::Counter* sessions;
   obs::Counter* prefill_tokens;
   obs::Counter* decode_tokens;
+  obs::Counter* cached_rows_reused;
   obs::Counter* batched_steps;
   obs::Counter* batched_rows;
   obs::Histogram* batched_step_seconds;
@@ -30,6 +32,7 @@ BatchedMetrics& Metrics() {
         registry.GetCounter("engine/sessions"),
         registry.GetCounter("engine/prefill_tokens"),
         registry.GetCounter("engine/decode_tokens"),
+        registry.GetCounter("engine/cached_rows_reused"),
         registry.GetCounter("engine/batched_steps"),
         registry.GetCounter("engine/batched_rows"),
         registry.GetHistogram("engine/batched_step_seconds")};
@@ -40,11 +43,18 @@ BatchedMetrics& Metrics() {
 }  // namespace
 
 BatchedDecodeSession::BatchedDecodeSession(const TransformerLM& lm,
-                                           size_t max_rows)
+                                           size_t max_rows,
+                                           const ForwardOptions& options)
     : lm_(lm),
+      options_(options),
       cache_(lm.config().num_layers, max_rows),
       in_use_(max_rows, false) {
   CHECK_GT(max_rows, size_t{0});
+  CHECK(options_.trace == nullptr)
+      << "trace recording is not supported on the cached path";
+  CHECK(!HasSequenceStatefulHook(options_))
+      << "sequence-stateful hooks (Infuser-gated adapters) cannot take the "
+         "KV-cached path; use the full-recompute generation entry points";
   Metrics().sessions->Increment();
 }
 
@@ -54,6 +64,7 @@ size_t BatchedDecodeSession::AcquireSlot() {
     if (!in_use_[slot]) {
       in_use_[slot] = true;
       ++active_rows_;
+      cache_.SeedPrefix(options_.prefix, slot);
       return slot;
     }
   }
@@ -93,12 +104,12 @@ void BatchedDecodeSession::Restore(size_t slot,
                                    const SlotSnapshot& snapshot) {
   CHECK_LT(slot, in_use_.size());
   CHECK(in_use_[slot]);
-  CHECK_EQ(cache_.tokens(slot), size_t{0})
-      << "Restore requires a fresh slot";
-  CHECK(!cache_.seeded(slot));
   CHECK_EQ(snapshot.keys.size(), cache_.num_layers());
   CHECK_EQ(snapshot.values.size(), cache_.num_layers());
-  cache_.SeedPrefix(nullptr, slot);
+  // The snapshot's pages already begin with the prefix-tuning rows every
+  // slot of this session is seeded with; reseeding restores the count.
+  cache_.ResetSlot(slot);
+  cache_.SeedPrefix(options_.prefix, slot);
   for (size_t l = 0; l < cache_.num_layers(); ++l) {
     LayerKv* page = cache_.layer(l, slot);
     page->k = snapshot.keys[l];
@@ -116,12 +127,15 @@ std::vector<tensor::Tensor> BatchedDecodeSession::Step(
   for (const RowInput& row : rows) {
     CHECK_LT(row.slot, in_use_.size());
     CHECK(in_use_[row.slot]) << "Step row uses unacquired slot " << row.slot;
+    metrics.cached_rows_reused->Increment(
+        (cache_.prefix_rows(row.slot) + cache_.tokens(row.slot)) *
+        row.tokens.size());
   }
   // Partition rows by pinned adapter version (first-appearance order): the
-  // packed forward applies one adapter to every row, so rows pinned to
-  // different versions must run in separate forwards to stay bit-exact for
-  // their own version. The common cases — no adapters, or everyone on the
-  // current version — collapse to the single packed forward of before.
+  // packed forward applies one set of hooks to every row, so rows pinned
+  // to different versions must run in separate forwards to stay bit-exact
+  // for their own version. The common cases — no adapters, or everyone on
+  // the current version — collapse to a single packed forward.
   std::vector<const PositionWiseAdapter*> group_adapters;
   std::vector<std::vector<size_t>> group_rows;
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -142,8 +156,20 @@ std::vector<tensor::Tensor> BatchedDecodeSession::Step(
     for (size_t r : group_rows[g]) {
       batch.push_back(TransformerLM::BatchRow{&rows[r].tokens, rows[r].slot});
     }
-    tensor::Tensor packed =
-        lm_.LogitsBatched(batch, &cache_, group_adapters[g]);
+    ForwardOptions options = options_;
+    PositionWiseAdapterHook hook(group_adapters[g]);
+    if (group_adapters[g] != nullptr) {
+      CHECK(options_.ffn_hook == nullptr && options_.attn_hook == nullptr)
+          << "pinned adapters need a session without hooks";
+      ForwardOptions adapter = hook.Options();
+      options.ffn_hook = adapter.ffn_hook;
+      options.attn_hook = adapter.attn_hook;
+    }
+    tensor::Tensor packed = lm_.LogitsBatched(batch, &cache_, options);
+    if (batch.size() == 1) {
+      per_row[group_rows[g].front()] = packed;  // no copy for a lone row
+      continue;
+    }
     size_t offset = 0;
     for (size_t r : group_rows[g]) {
       per_row[r] =

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "model/kv_cache.h"
+#include "model/serve_adapter.h"
 #include "model/transformer.h"
 
 namespace infuserki::model {
@@ -16,30 +17,37 @@ namespace infuserki::model {
 /// checks one out, Step() forwards every participating row's new tokens in
 /// ONE packed forward (prefill rows carry whole prompts, decode rows a
 /// single token — mixed freely), and ReleaseSlot recycles the slot for the
-/// next sequence. Every row of a Step is bit-exact with a single-sequence
-/// DecodeSession fed the same tokens (DESIGN.md §11): position-wise
-/// sublayers run packed with identical per-row arithmetic and attention
-/// runs per row against that row's own K/V page.
+/// next sequence. This is the one cached inference engine: every row of a
+/// Step is bit-exact with the full-sequence forward over that row's whole
+/// sequence (DESIGN.md §7, §11) — position-wise sublayers run packed with
+/// identical per-row arithmetic and attention runs per row against that
+/// row's own K/V page. DecodeSession is its one-slot case.
 ///
-/// Snapshot()/Restore() save and replant a slot's K/V pages, which is how
-/// the serving layer's PrefixCache parks a prefilled prompt boundary and
-/// later seeds a fresh slot from it without re-running the prefill. A
-/// snapshot shares the underlying page storage (pages are never mutated in
-/// place — appends and truncations always produce fresh tensors), so two
-/// in-flight rows restored from the same snapshot share one copy of the
-/// prefix K/V until they diverge.
+/// Snapshot()/Restore() save and replant a slot's K/V pages. The serving
+/// layer's PrefixCache parks a prefilled prompt boundary this way and
+/// later seeds a fresh slot from it without re-running the prefill;
+/// DecodeSession rewinds to a saved boundary the same way. A snapshot
+/// shares the underlying page storage (pages are never mutated in place —
+/// appends always produce fresh tensors), so two in-flight rows restored
+/// from the same snapshot share one copy of the prefix K/V until they
+/// diverge.
 ///
 /// Sessions are single-threaded and inference-only (all forwards run under
-/// NoGradGuard; hooks / prefix tuning / tracing are unsupported — the
-/// generation layer routes those to the single-sequence paths). Thread
-/// confinement, not locking, is the concurrency contract (DESIGN.md §13):
-/// the session and its KV slot pool are owned by exactly one scheduler
-/// thread, so they carry no mutex and no TSA capabilities. SlotSnapshots
-/// handed to the PrefixCache are immutable shares; the cache's own mu_
-/// publishes them to other rows.
+/// NoGradGuard). The session-wide ForwardOptions (position-wise hooks,
+/// prefix tuning; no tracing, no sequence-stateful hook) apply to every
+/// row; prefix-tuning rows are seeded into each slot at AcquireSlot.
+/// Thread confinement, not locking, is the concurrency contract
+/// (DESIGN.md §13): the session and its KV slot pool are owned by exactly
+/// one thread (the scheduler thread in serving), so they carry no mutex
+/// and no TSA capabilities. SlotSnapshots handed to the PrefixCache are
+/// immutable shares; the cache's own mu_ publishes them to other rows.
 class BatchedDecodeSession {
  public:
-  BatchedDecodeSession(const TransformerLM& lm, size_t max_rows);
+  /// `options` (and any hook / prefix it points to) must outlive the
+  /// session; its hooks must not be SequenceStateful() and its trace must
+  /// be null.
+  BatchedDecodeSession(const TransformerLM& lm, size_t max_rows,
+                       const ForwardOptions& options = {});
 
   size_t max_rows() const { return cache_.num_slots(); }
   size_t active_rows() const { return active_rows_; }
@@ -52,8 +60,9 @@ class BatchedDecodeSession {
   size_t tokens(size_t slot) const { return cache_.tokens(slot); }
 
   /// Checks out a free slot (CHECK-fails when none is free; probe with
-  /// HasFreeSlot). The slot starts empty: the first Step row on it is a
-  /// prefill at position 0 unless Restore() replants saved pages first.
+  /// HasFreeSlot). The slot starts with no token cached (only the session's
+  /// prefix-tuning rows): the first Step row on it is a prefill at position
+  /// 0 unless Restore() replants saved pages first.
   size_t AcquireSlot();
 
   /// Returns `slot` to the free pool, dropping its K/V pages.
@@ -71,12 +80,14 @@ class BatchedDecodeSession {
   /// after the prefill Step) to get a reusable prefix snapshot.
   SlotSnapshot Snapshot(size_t slot) const;
 
-  /// Replants `snapshot` into a freshly acquired (empty) `slot`: the next
-  /// Step row on it continues from position snapshot.tokens.
+  /// Replants `snapshot` (taken on this session) into acquired `slot`,
+  /// discarding whatever the slot held: the next Step row on it continues
+  /// from position snapshot.tokens.
   void Restore(size_t slot, const SlotSnapshot& snapshot);
 
   /// One participating row of a batched step. `adapter` pins the adapter
-  /// version the row was admitted under (nullptr = base model); it must
+  /// version the row was admitted under (nullptr = the session's own
+  /// options; non-null requires a session without hooks); it must
   /// stay the same for every Step of that row's lifetime so the decoded
   /// stream is bit-exact for ONE version (the swap protocol's epoch
   /// pinning, DESIGN.md §12). Not owned; the serving layer keeps the
@@ -90,13 +101,15 @@ class BatchedDecodeSession {
   /// Runs all rows' new tokens in ragged batched forwards and returns
   /// per-row logits [T_r, V], in `rows` order. Rows must use distinct,
   /// acquired slots. Rows sharing an adapter version run in ONE packed
-  /// forward; a step mixing versions runs one forward per distinct version
+  /// forward, the adapter wrapped in a PositionWiseAdapterHook; a step
+  /// mixing versions runs one forward per distinct version
   /// (first-appearance order), so a hot swap costs at most one extra
   /// forward per step while both generations are in flight.
   std::vector<tensor::Tensor> Step(const std::vector<RowInput>& rows);
 
  private:
   const TransformerLM& lm_;
+  ForwardOptions options_;
   KvCache cache_;
   std::vector<bool> in_use_;
   size_t active_rows_ = 0;

@@ -1,20 +1,14 @@
 #include "model/decode_session.h"
 
 #include "obs/metrics.h"
-#include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace infuserki::model {
 namespace {
 
-/// Inference-engine metrics. Prefill = multi-token chunks (prompt
-/// ingestion), decode = single-token steps; the reuse counter tallies
-/// cached rows each incremental forward attended to instead of recomputing.
+/// Single-sequence engine metrics on top of the batched engine's
+/// counters: per-call prefill / decode latency and rewinds.
 struct EngineMetrics {
-  obs::Counter* sessions;
-  obs::Counter* prefill_tokens;
-  obs::Counter* decode_tokens;
-  obs::Counter* cached_rows_reused;
   obs::Counter* rewinds;
   obs::Histogram* prefill_seconds;
   obs::Histogram* decode_step_seconds;
@@ -28,10 +22,6 @@ EngineMetrics& Metrics() {
   static EngineMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
     return new EngineMetrics{
-        registry.GetCounter("engine/sessions"),
-        registry.GetCounter("engine/prefill_tokens"),
-        registry.GetCounter("engine/decode_tokens"),
-        registry.GetCounter("engine/cached_rows_reused"),
         registry.GetCounter("engine/rewinds"),
         registry.GetHistogram("engine/prefill_seconds"),
         registry.GetHistogram("engine/decode_step_seconds")};
@@ -43,42 +33,22 @@ EngineMetrics& Metrics() {
 
 DecodeSession::DecodeSession(const TransformerLM& lm,
                              const ForwardOptions& options)
-    : lm_(lm), options_(options), cache_(lm.config().num_layers) {
-  CHECK(options_.trace == nullptr)
-      << "trace recording is not supported on the incremental path";
-  CHECK(!HasSequenceStatefulHook(options_))
-      << "sequence-stateful hooks (Infuser-gated adapters) cannot take the "
-         "KV-cached path; use the full-recompute generation entry points";
-  Metrics().sessions->Increment();
-}
+    : session_(lm, 1, options), slot_(session_.AcquireSlot()) {}
 
 tensor::Tensor DecodeSession::Prefill(const std::vector<int>& tokens) {
-  CHECK(!tokens.empty());
-  EngineMetrics& metrics = Metrics();
-  size_t reused = cache_.prefix_rows() + cache_.tokens();
   util::Stopwatch watch;
-  tensor::NoGradGuard no_grad;
-  tensor::Tensor logits = lm_.LogitsIncremental(tokens, &cache_, options_);
-  double seconds = watch.ElapsedSeconds();
-  if (tokens.size() == 1) {
-    metrics.decode_tokens->Increment();
-    metrics.decode_step_seconds->Record(seconds);
-  } else {
-    metrics.prefill_tokens->Increment(tokens.size());
-    metrics.prefill_seconds->Record(seconds);
-  }
-  metrics.cached_rows_reused->Increment(reused * tokens.size());
+  tensor::Tensor logits = session_.Step({{slot_, tokens}}).front();
+  EngineMetrics& metrics = Metrics();
+  (tokens.size() == 1 ? metrics.decode_step_seconds : metrics.prefill_seconds)
+      ->Record(watch.ElapsedSeconds());
   return logits;
 }
 
 tensor::Tensor DecodeSession::Decode(int token) { return Prefill({token}); }
 
-DecodeSession::Checkpoint DecodeSession::Save() const {
-  return Checkpoint{cache_.tokens()};
-}
-
-void DecodeSession::Rewind(const Checkpoint& checkpoint) {
-  cache_.TruncateTokens(checkpoint.tokens);
+void DecodeSession::Restore(
+    const BatchedDecodeSession::SlotSnapshot& snapshot) {
+  session_.Restore(slot_, snapshot);
   Metrics().rewinds->Increment();
 }
 

@@ -4,27 +4,27 @@
 #include <cstddef>
 #include <vector>
 
-#include "model/kv_cache.h"
+#include "model/batched_session.h"
 #include "model/transformer.h"
 
 namespace infuserki::model {
 
-/// Incremental inference session over one logical token sequence.
+/// Cached inference over one logical token sequence: a one-slot
+/// BatchedDecodeSession.
 ///
 /// Prefill() runs the model once over a chunk of tokens and caches every
 /// layer's key/value rows; subsequent Prefill()/Decode() calls forward only
 /// the NEW tokens against the cache, turning per-step decode cost from
 /// O(T) full-sequence forwards into O(1) single-token forwards. The cached
-/// path is bit-identical to the full-sequence forward (see DESIGN.md §7):
-/// every sublayer is position-wise and attention re-reads the same key rows
-/// in the same order. Sequence-stateful hooks (the Infuser gate pools over
-/// every position, making the full-sequence forward non-causal) cannot be
-/// reproduced incrementally and are rejected here; the generation layer
-/// routes such forwards to the legacy full-recompute path.
+/// path is bit-identical to the full-sequence forward (see DESIGN.md §7).
+/// Sequence-stateful hooks (the Infuser gate pools over every position,
+/// making the full-sequence forward non-causal) cannot be reproduced by a
+/// cached pass and are rejected here; the generation layer routes such
+/// forwards to the full-recompute path.
 ///
-/// Save()/Rewind() checkpoint the sequence boundary so a shared prompt
-/// prefix can be prefilled once and reused across many continuations (MCQ
-/// option scoring): Rewind truncates the cache back to the checkpoint.
+/// Snapshot()/Restore() save and replant the sequence boundary so a shared
+/// prompt prefix can be prefilled once and reused across many
+/// continuations (MCQ option scoring).
 ///
 /// Sessions are single-threaded; a stateful hook (options.ffn_hook /
 /// attn_hook) must not be shared with a concurrent session or forward.
@@ -32,9 +32,8 @@ namespace infuserki::model {
 class DecodeSession {
  public:
   /// `options.trace` must be null and any hook must not be
-  /// SequenceStateful() (both unsupported on the incremental path).
-  /// `options` (and any hook / prefix it points to) must outlive the
-  /// session.
+  /// SequenceStateful(). `options` (and any hook / prefix it points to)
+  /// must outlive the session.
   explicit DecodeSession(const TransformerLM& lm,
                          const ForwardOptions& options = {});
 
@@ -46,26 +45,23 @@ class DecodeSession {
   tensor::Tensor Decode(int token);
 
   /// Token positions fed so far.
-  size_t tokens() const { return cache_.tokens(); }
+  size_t tokens() const { return session_.tokens(slot_); }
 
   /// Hard sequence ceiling (the model's positional table size).
-  size_t max_tokens() const { return lm_.config().max_seq_len; }
+  size_t max_tokens() const { return session_.max_tokens(); }
 
-  /// Sequence-boundary checkpoint (a cached-token count).
-  struct Checkpoint {
-    size_t tokens = 0;
-  };
+  /// The current sequence boundary's pages (shares storage; cheap).
+  BatchedDecodeSession::SlotSnapshot Snapshot() const {
+    return session_.Snapshot(slot_);
+  }
 
-  Checkpoint Save() const;
-
-  /// Truncates the session back to `checkpoint` (taken on this session, at
-  /// or before the current length).
-  void Rewind(const Checkpoint& checkpoint);
+  /// Rewinds (or advances) the session to `snapshot`, taken on this
+  /// session.
+  void Restore(const BatchedDecodeSession::SlotSnapshot& snapshot);
 
  private:
-  const TransformerLM& lm_;
-  ForwardOptions options_;
-  KvCache cache_;
+  BatchedDecodeSession session_;
+  size_t slot_;
 };
 
 }  // namespace infuserki::model

@@ -87,7 +87,7 @@ double RowLogProb(const float* row, size_t vocab, int target) {
 /// currently ends exactly at the prompt. `prompt_logits` is the prefill
 /// result (its last row scores the first continuation token); the remaining
 /// continuation tokens are fed incrementally. Leaves the session extended —
-/// callers rewind.
+/// callers restore.
 double ContinuationLogProb(DecodeSession* session,
                            const Tensor& prompt_logits,
                            const std::vector<int>& continuation) {
@@ -253,7 +253,7 @@ OptionScores ScoreOptions(const TransformerLM& lm,
     // prefix and only its own continuation tokens are forwarded.
     DecodeSession session(lm, options);
     Tensor prompt_logits = session.Prefill(prompt_ids);
-    DecodeSession::Checkpoint prompt_mark = session.Save();
+    BatchedDecodeSession::SlotSnapshot prompt_mark = session.Snapshot();
     for (const std::string& option : options_text) {
       std::vector<int> continuation = tokenizer.Encode(option);
       CHECK(!continuation.empty()) << "empty option text";
@@ -261,7 +261,7 @@ OptionScores ScoreOptions(const TransformerLM& lm,
                lm.config().max_seq_len)
           << "scored sequence exceeds max_seq_len";
       double lp = ContinuationLogProb(&session, prompt_logits, continuation);
-      session.Rewind(prompt_mark);
+      session.Restore(prompt_mark);
       scores.log_probs.push_back(lp);
       normalized.push_back(lp / static_cast<double>(continuation.size()));
     }

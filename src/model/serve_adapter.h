@@ -24,8 +24,8 @@ enum class AdapterAttachment : uint32_t {
 /// bottleneck down/up projection pair, chained across layers through the
 /// caller-owned ChainState exactly like the training-side stack chains
 /// adapter outputs (DESIGN.md §12). The gated form pools Mean(H_P^l) over
-/// the whole sequence and therefore cannot take the KV-cached or batched
-/// paths; exports of gated stacks are rejected at the source.
+/// the whole sequence and therefore cannot take the KV-cached path;
+/// exports of gated stacks are rejected at the source.
 ///
 /// All members are set at construction and never mutated, so one instance
 /// may be shared freely across threads (the swap protocol publishes
@@ -81,12 +81,12 @@ class PositionWiseAdapter {
   std::vector<int> layer_to_slot_;  // dense layer -> layers_ index, -1 = none
 };
 
-/// FfnHook/AttnHook bridge so the single-sequence paths (full recompute,
-/// DecodeSession, GreedyDecode references) run a PositionWiseAdapter
-/// through the ordinary ForwardOptions plumbing. Position-wise
-/// (SequenceStateful() stays false), so the generation layer keeps the
-/// fast KV-cached route. Holds per-forward chain state: one hook instance
-/// per concurrent forward, not shared across threads.
+/// FfnHook/AttnHook bridge so every forward (full recompute, the cached
+/// engine's BatchedDecodeSession::Step, GreedyDecode references) runs a
+/// PositionWiseAdapter through the ordinary ForwardOptions plumbing.
+/// Position-wise (SequenceStateful() stays false), so it keeps the fast
+/// KV-cached route. Holds per-forward chain state: one hook instance per
+/// concurrent forward, not shared across threads.
 class PositionWiseAdapterHook : public FfnHook, public AttnHook {
  public:
   /// `adapter` may be nullptr (base model: no deltas, empty Options()).

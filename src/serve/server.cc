@@ -60,7 +60,7 @@ struct ServeMetrics {
 ServeMetrics& Metrics() {
   // Magic-static resolution, relaxed-atomic updates afterwards (the
   // EngineMetrics idiom from decode_session.cc): the scheduler and
-  // fallback threads publish without the registry lock.
+  // watchdog threads publish without the registry lock.
   static ServeMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
     return new ServeMetrics{
@@ -299,7 +299,6 @@ InferenceServer::InferenceServer(const model::TransformerLM& lm,
     return;
   }
   scheduler_ = std::thread(&InferenceServer::SchedulerLoop, this);
-  fallback_ = std::thread(&InferenceServer::FallbackLoop, this);
   watchdog_ = std::thread(&InferenceServer::WatchdogLoop, this);
   if (options_.exporter.period.count() > 0) {
     // The server owns the export thread and chains its queue-depth
@@ -360,24 +359,12 @@ std::future<Response> InferenceServer::Submit(Request request) {
     if (!init_status_.ok()) {
       // Invalid construction: the scheduler never started, so resolve
       // here — a hung future would be strictly worse than a crisp error.
-      metrics.failures->Increment();
-      Response response;
-      response.request_id = job->trace.id();
-      response.status = init_status_;
-      job->trace.Mark("failure");
-      job->trace.End("serve/request");
-      job->promise.set_value(std::move(response));
+      Resolve(job.get(), metrics.failures, "failure", init_status_);
       return future;
     }
     if (shutdown_started_) {
-      metrics.cancelled->Increment();
-      Response response;
-      response.request_id = job->trace.id();
-      response.status =
-          util::Status::Unavailable("server is shutting down");
-      job->trace.Mark("cancelled");
-      job->trace.End("serve/request");
-      job->promise.set_value(std::move(response));
+      Resolve(job.get(), metrics.cancelled, "cancelled",
+              util::Status::Unavailable("server is shutting down"));
       return future;
     }
     if (infeasible_estimate_s > 0.0) {
@@ -418,20 +405,15 @@ std::future<Response> InferenceServer::Submit(Request request) {
         break;  // rate-limited / infeasible: hint already set
     }
     hint_s = std::max(hint_s, 0.001);
-    metrics.shed->Increment();
     ShedReasonCounter(metrics, reason)->Increment();
     tenant.shed->Increment();
-    Response response;
-    response.request_id = job->trace.id();
-    response.retry_after_seconds = hint_s;
-    response.status = util::WithRetryAfter(
-        util::Status::ResourceExhausted(
-            std::string("shed (") + ShedReasonName(reason) + "), tenant " +
-            SanitizeTenant(tenant_id)),
-        hint_s);
-    job->trace.Mark("shed");
-    job->trace.End("serve/request");
-    job->promise.set_value(std::move(response));
+    Resolve(job.get(), metrics.shed, "shed",
+            util::WithRetryAfter(
+                util::Status::ResourceExhausted(
+                    std::string("shed (") + ShedReasonName(reason) +
+                    "), tenant " + SanitizeTenant(tenant_id)),
+                hint_s),
+            hint_s);
     return future;
   }
   tenant.admitted->Increment();
@@ -442,6 +424,28 @@ std::future<Response> InferenceServer::Submit(Request request) {
 
 Response InferenceServer::Run(Request request) {
   return Submit(std::move(request)).get();
+}
+
+void InferenceServer::Resolve(Job* job, obs::Counter* outcome,
+                              const char* mark, util::Status status,
+                              double retry_after_s) {
+  outcome->Increment();
+  Response response;
+  response.request_id = job->trace.id();
+  response.status = std::move(status);
+  response.retry_after_seconds = retry_after_s;
+  job->trace.Mark(mark);
+  job->trace.End("serve/request");
+  job->promise.set_value(std::move(response));
+}
+
+void InferenceServer::CancelQueued(
+    std::vector<AdmissionController::Entry> orphaned) {
+  for (AdmissionController::Entry& entry : orphaned) {
+    std::unique_ptr<Job> job(static_cast<Job*>(entry.item.release()));
+    Resolve(job.get(), Metrics().cancelled, "cancelled",
+            util::Status::Unavailable("server shut down before execution"));
+  }
 }
 
 void InferenceServer::Shutdown() {
@@ -464,28 +468,8 @@ void InferenceServer::Shutdown() {
     }
   }
   work_ready_.NotifyAll();
-  fallback_ready_.NotifyAll();
-  for (AdmissionController::Entry& entry : orphaned) {
-    std::unique_ptr<Job> job(static_cast<Job*>(entry.item.release()));
-    Metrics().cancelled->Increment();
-    Response response;
-    response.request_id = job->trace.id();
-    response.status =
-        util::Status::Unavailable("server shut down before execution");
-    job->trace.Mark("cancelled");
-    job->trace.End("serve/request");
-    job->promise.set_value(std::move(response));
-  }
+  CancelQueued(std::move(orphaned));
   if (scheduler_.joinable()) scheduler_.join();
-  {
-    // The scheduler may have handed degraded rows to the fallback thread
-    // on its way out; only now that it is joined can the fallback thread
-    // safely exit on an empty queue (see scheduler_done_).
-    util::MutexLock lock(mu_);
-    scheduler_done_ = true;
-  }
-  fallback_ready_.NotifyAll();
-  if (fallback_.joinable()) fallback_.join();
   {
     util::MutexLock lock(mu_);
     watchdog_stop_ = true;
@@ -745,6 +729,7 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
     }
     return false;
   }
+  *step_tokens += need;
 
   note_queue();
   flight->prompt_ids = j->prompt_ids;
@@ -763,13 +748,9 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
     util::Status prefill_status = RetryStep(
         flight.get(), [] { return FAULT_POINT("serve/prefill"); },
         "serve prefill");
-    if (!prefill_status.ok()) {
-      // A permanent prefill fault degrades the request to the cacheless
-      // fallback path rather than failing it — and without ever taking a
-      // batch slot.
-      DegradeToFallback(std::move(flight));
-      return true;
-    }
+    // A permanent prefill fault degrades the row rather than failing it:
+    // it still prefills in this step, just never through the cache.
+    if (!prefill_status.ok()) Degrade(flight.get());
     flight->slot = session->AcquireSlot();
   }
   flight->step_begin_us = obs::NowMicros();
@@ -777,23 +758,13 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
   return true;
 }
 
-void InferenceServer::DegradeToFallback(std::unique_ptr<Flight> flight) {
+void InferenceServer::Degrade(Flight* flight) {
   Metrics().degraded->Increment();
-  Flight* f = flight.get();
-  f->response.degraded = true;
-  f->response.prefix_hit = false;
-  f->job->trace.Mark("degraded");
-  // The delivered stream restarts from scratch, so TTFT and the
-  // inter-token clock restart with it.
-  f->generated.clear();
-  f->response.ttft_seconds = 0.0;
-  f->last_token_us = 0;
-  f->cache_entry.reset();
-  {
-    util::MutexLock lock(mu_);
-    fallback_queue_.push_back(std::move(flight));
-  }
-  fallback_ready_.NotifyOne();
+  flight->response.degraded = true;
+  flight->response.prefix_hit = false;
+  flight->job->trace.Mark("degraded");
+  flight->cache_entry.reset();
+  flight->prefilled = false;
 }
 
 void InferenceServer::SchedulerLoop() {
@@ -855,17 +826,7 @@ void InferenceServer::SchedulerLoop() {
         util::MutexLock lock(mu_);
         orphaned = admission_.DrainAll();
       }
-      for (AdmissionController::Entry& entry : orphaned) {
-        std::unique_ptr<Job> job(static_cast<Job*>(entry.item.release()));
-        metrics.cancelled->Increment();
-        Response response;
-        response.request_id = job->trace.id();
-        response.status =
-            util::Status::Unavailable("server shut down before execution");
-        job->trace.Mark("cancelled");
-        job->trace.End("serve/request");
-        job->promise.set_value(std::move(response));
-      }
+      CancelQueued(std::move(orphaned));
       return;
     }
     if (stall_abort_.load(std::memory_order_relaxed)) {
@@ -889,8 +850,13 @@ void InferenceServer::SchedulerLoop() {
     }
 
     // --- Admission: fill free slots from the tiered WDRR queues until the
-    // step-token budget is spent. ----------------------------------------
-    size_t step_tokens = rows.size();  // each in-flight row feeds 1 token
+    // step-token budget is spent. A decoding row feeds 1 token; a row not
+    // yet prefilled (a degraded re-prefill) feeds its pending length. ----
+    size_t step_tokens = 0;
+    for (const std::unique_ptr<Flight>& f : rows) {
+      step_tokens +=
+          f->prefilled ? 1 : f->prompt_ids.size() + f->generated.size();
+    }
     while (rows.size() < session->max_rows()) {
       AdmissionController::Entry entry;
       {
@@ -930,15 +896,27 @@ void InferenceServer::SchedulerLoop() {
       const model::PositionWiseAdapter* adapter =
           f.version != nullptr ? f.version->adapter.get() : nullptr;
       if (!f.prefilled) {
-        // Prompt not yet forwarded: this row's step input is the prefill.
+        // Nothing forwarded on this slot yet: the step input is the
+        // prefill — the prompt, plus a degraded row's generated tokens.
         f.step_begin_us = obs::NowMicros();
+        std::vector<int> pending = f.prompt_ids;
+        pending.insert(pending.end(), f.generated.begin(), f.generated.end());
         inputs.push_back(model::BatchedDecodeSession::RowInput{
-            f.slot, f.prompt_ids, adapter});
+            f.slot, std::move(pending), adapter});
         input_flight.push_back(i);
         continue;
       }
       int next = ArgmaxRow(f.next_row.data(), vocab);
-      if (next == text::kEosId) {
+      bool done = next == text::kEosId;
+      if (!done) {
+        f.generated.push_back(next);
+        NoteToken(&f);
+        f.job->trace.Phase("decode_step", f.step_begin_us, f.last_token_us);
+        f.step_begin_us = f.last_token_us;
+        done = f.generated.size() >= f.max_new ||
+               f.prompt_ids.size() + f.generated.size() >= max_seq;
+      }
+      if (done) {
         park(&f);
         f.response.tokens = std::move(f.generated);
         util::StatusOr<std::string> text =
@@ -952,35 +930,19 @@ void InferenceServer::SchedulerLoop() {
         release(&rows[i]);
         continue;
       }
-      f.generated.push_back(next);
-      NoteToken(&f);
-      f.job->trace.Phase("decode_step", f.step_begin_us, f.last_token_us);
-      f.step_begin_us = f.last_token_us;
-      if (f.generated.size() >= f.max_new ||
-          f.prompt_ids.size() + f.generated.size() >= max_seq) {
-        park(&f);
-        f.response.tokens = std::move(f.generated);
-        util::StatusOr<std::string> text =
-            tokenizer_.Decode(f.response.tokens);
-        if (!text.ok()) {
-          Deliver(&f, text.status());
-        } else {
-          f.response.text = std::move(*text);
-          Deliver(&f, util::Status::OK());
+      if (!f.response.degraded) {
+        util::Status step_status = RetryStep(
+            &f, [] { return FAULT_POINT("serve/decode_step"); },
+            "decode step");
+        if (!step_status.ok()) {
+          // Permanent mid-decode failure: this row's KV state is suspect,
+          // so it moves to a fresh slot and re-prefills next step — the
+          // rest of the batch keeps decoding.
+          Degrade(&f);
+          session->ReleaseSlot(f.slot);
+          f.slot = session->AcquireSlot();
+          continue;
         }
-        release(&rows[i]);
-        continue;
-      }
-      util::Status step_status = RetryStep(
-          &f, [] { return FAULT_POINT("serve/decode_step"); },
-          "decode step");
-      if (!step_status.ok()) {
-        // Permanent mid-decode failure: this row's KV state is suspect, so
-        // free its slot and restart it on the cacheless fallback thread —
-        // the rest of the batch keeps decoding.
-        session->ReleaseSlot(f.slot);
-        DegradeToFallback(std::move(rows[i]));
-        continue;
       }
       inputs.push_back(
           model::BatchedDecodeSession::RowInput{f.slot, {next}, adapter});
@@ -1034,9 +996,11 @@ void InferenceServer::SchedulerLoop() {
         if (!f.prefilled) {
           f.prefilled = true;
           // Freeze the prompt boundary for the prefix cache before any
-          // decode rows are appended to the slot — unless a brownout is
-          // bypassing cache writes (the snapshot would be dropped anyway).
-          if (brownout_.level() < kBrownoutBypassCacheLevel) {
+          // decode rows are appended to the slot — unless the row is
+          // degraded, or a brownout is bypassing cache writes (the
+          // snapshot would be dropped anyway).
+          if (!f.response.degraded &&
+              brownout_.level() < kBrownoutBypassCacheLevel) {
             auto entry = std::make_shared<PrefixCache::Entry>();
             entry->prompt = f.prompt_ids;
             entry->pages = session->Snapshot(f.slot);
@@ -1110,72 +1074,6 @@ void InferenceServer::WatchdogLoop() {
       last_progress = now;  // restart the clock for a subsequent stall
     }
   }
-}
-
-void InferenceServer::FallbackLoop() {
-  tensor::NoGradGuard no_grad;
-  while (true) {
-    std::unique_ptr<Flight> flight;
-    {
-      util::MutexLock lock(mu_);
-      while (!scheduler_done_ && fallback_queue_.empty()) {
-        fallback_ready_.Wait(mu_);
-      }
-      // Only exit once the scheduler has joined: until then it may still
-      // degrade flights into this queue, and returning early would orphan
-      // their promises. scheduler_done_ also implies drain is complete.
-      if (fallback_queue_.empty()) return;
-      flight = std::move(fallback_queue_.front());
-      fallback_queue_.pop_front();
-    }
-    RunDegraded(flight.get());
-  }
-}
-
-void InferenceServer::RunDegraded(Flight* f) {
-  // Mirrors generation.cc DecodeFullRecompute exactly, so the token stream
-  // stays bit-identical to GreedyDecode even with the engine unavailable.
-  const size_t max_seq = lm_.config().max_seq_len;
-  const size_t vocab = lm_.config().vocab_size;
-  int64_t step_begin_us = obs::NowMicros();
-  std::vector<int> sequence = f->prompt_ids;
-  // Degraded rows still honor their pinned adapter version: the hook
-  // applies the same position-wise deltas the batched path would have.
-  model::PositionWiseAdapterHook hook(
-      f->version != nullptr ? f->version->adapter.get() : nullptr);
-  const model::ForwardOptions forward = hook.Options();
-  for (size_t step = 0; step < f->max_new; ++step) {
-    if (HardCancel()) {
-      Deliver(f, util::Status::Cancelled("server shutting down"));
-      return;
-    }
-    if (Expired(*f)) {
-      f->response.tokens = std::move(f->generated);
-      Deliver(f, util::Status::DeadlineExceeded(
-                     "deadline expired after " +
-                     std::to_string(f->response.tokens.size()) +
-                     " tokens (degraded path)"));
-      return;
-    }
-    if (sequence.size() >= max_seq) break;
-    tensor::Tensor logits = lm_.Logits(sequence, forward);
-    int next =
-        ArgmaxRow(logits.data() + (logits.dim(0) - 1) * vocab, vocab);
-    if (next == text::kEosId) break;
-    f->generated.push_back(next);
-    sequence.push_back(next);
-    NoteToken(f);
-    f->job->trace.Phase("decode_step", step_begin_us, f->last_token_us);
-    step_begin_us = f->last_token_us;
-  }
-  f->response.tokens = std::move(f->generated);
-  util::StatusOr<std::string> text = tokenizer_.Decode(f->response.tokens);
-  if (!text.ok()) {
-    Deliver(f, text.status());
-    return;
-  }
-  f->response.text = std::move(*text);
-  Deliver(f, util::Status::OK());
 }
 
 }  // namespace infuserki::serve

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -124,7 +123,9 @@ struct Response {
   std::vector<int> tokens;  // newly generated ids (no prompt, no <eos>)
   std::string text;         // decoded `tokens`
   bool prefix_hit = false;  // served from a cached prefill
-  bool degraded = false;    // served by the cacheless fallback path
+  // Hit a permanent prefill / decode-step fault and was re-prefilled on a
+  // fresh slot, inside the batch, without the prefix cache (DESIGN.md §10).
+  bool degraded = false;
   int retries = 0;          // transient faults absorbed by backoff
   /// Process-unique request id; doubles as the async track id under which
   /// this request's lifecycle renders in the Chrome trace. Always set,
@@ -155,9 +156,10 @@ struct Response {
 /// `max_batch_tokens`), picks every in-flight row's next token, retires
 /// rows that finished / missed their deadline / were cancelled — without
 /// stalling the rest — and forwards all surviving rows' new tokens in ONE
-/// ragged batched step. Requests that lose their KV state to a permanent
-/// fault are handed to a dedicated fallback thread for cacheless
-/// full-recompute decoding, so a degraded request never blocks the batch.
+/// ragged batched step. A row that loses its KV state to a permanent fault
+/// is degraded: it takes a fresh slot and is re-prefilled with its prompt
+/// plus the tokens generated so far in a later step of the same batch, so
+/// a degraded request never blocks the others.
 ///
 /// Resilience contract (DESIGN.md §10): a bounded admission queue sheds
 /// load instead of queueing unbounded work; every request carries a
@@ -165,10 +167,9 @@ struct Response {
 /// decode, never wedges the scheduler); prefilled prompt prefixes are
 /// shared across concurrent requests under an LRU KV-token budget;
 /// transient faults on the tokenize / prefill / decode-step fault points
-/// are retried with backoff, and a permanent mid-decode failure degrades
-/// the request to the fallback path instead of failing it. Served token
-/// streams are bit-exact with single-threaded GreedyDecode on both the
-/// batched and the degraded path.
+/// are retried with backoff, and a permanent prefill or decode-step failure
+/// degrades the row instead of failing it. Served token streams are
+/// bit-exact with single-threaded GreedyDecode, degraded or not.
 ///
 /// Overload control (DESIGN.md §14): admission runs through per-tenant
 /// WDRR queues with strict priority tiers, per-tenant caps and token
@@ -200,7 +201,7 @@ class InferenceServer {
                   ServeOptions options = {});
 
   /// Drains the queue (cancelling queued requests) and joins the scheduler
-  /// and fallback threads.
+  /// and watchdog threads.
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
@@ -214,7 +215,7 @@ class InferenceServer {
   /// Synchronous convenience wrapper around Submit().
   Response Run(Request request);
 
-  /// Stops accepting work and joins the scheduler and fallback threads.
+  /// Stops accepting work and joins the scheduler and watchdog threads.
   /// With `drain_deadline` 0: queued requests are cancelled immediately
   /// (kUnavailable) and in-flight rows notice cancellation at the next
   /// token. With a drain budget, admitted and queued work keeps running
@@ -275,7 +276,7 @@ class InferenceServer {
 
   /// One admitted request's in-flight state: its batch slot, decode
   /// progress, and the response being assembled. Owned by the scheduler
-  /// until retirement (or by the fallback thread after degradation).
+  /// until retirement.
   struct Flight {
     std::unique_ptr<Job> job;
     Response response;
@@ -284,7 +285,9 @@ class InferenceServer {
     size_t max_new = 0;
     std::vector<int> generated;
     std::vector<float> next_row;  // logits row scoring the next token
-    bool prefilled = false;       // false → prompt not yet forwarded
+    // false → the slot holds nothing yet: the row's next step forwards
+    // prompt_ids + generated (the prompt, or a degraded row's re-prefill).
+    bool prefilled = false;
     // Prompt-boundary snapshot shared with / destined for the PrefixCache.
     std::shared_ptr<const PrefixCache::Entry> cache_entry;
     // Adapter version pinned at admission (null = base model). The
@@ -297,7 +300,6 @@ class InferenceServer {
   };
 
   void SchedulerLoop() EXCLUDES(mu_);
-  void FallbackLoop() EXCLUDES(mu_);
 
   /// Watchdog thread body: once per `watchdog_interval` it feeds queue
   /// occupancy to the brownout controller and checks the scheduler
@@ -306,20 +308,28 @@ class InferenceServer {
   /// (DESIGN.md §14).
   void WatchdogLoop() EXCLUDES(mu_);
 
-  /// Admits a popped admission entry into `rows`. Returns false when the
-  /// job was deferred (returned to the admission queue head) because its
-  /// prefill does not fit the current step's token budget.
+  /// Admits a popped admission entry into `rows`, adding the tokens it
+  /// feeds this step to `*step_tokens`. Returns false when the job was
+  /// deferred (returned to the admission queue head) because its prefill
+  /// does not fit the current step's token budget.
   bool AdmitOne(AdmissionController::Entry entry,
                 model::BatchedDecodeSession* session,
                 std::vector<std::unique_ptr<Flight>>* rows,
                 size_t* step_tokens) EXCLUDES(mu_);
 
-  /// Marks `flight` degraded and hands it to the fallback thread for
-  /// cacheless full-recompute decoding.
-  void DegradeToFallback(std::unique_ptr<Flight> flight) EXCLUDES(mu_);
+  /// Marks `flight` degraded after a permanent prefill / decode-step fault:
+  /// it drops its prefix-cache entry and is re-prefilled in a later step,
+  /// never touching the prefix cache or those fault points again.
+  void Degrade(Flight* flight);
 
-  /// Cacheless full-recompute decode for a degraded request.
-  void RunDegraded(Flight* flight);
+  /// Resolves a job that never entered the batch (rejected, shed, or
+  /// cancelled while queued): counts it under `outcome`, closes its trace
+  /// track with `mark`, and fulfills the promise.
+  static void Resolve(Job* job, obs::Counter* outcome, const char* mark,
+                      util::Status status, double retry_after_s = 0.0);
+
+  /// Resolves jobs swept out of the admission queue by shutdown.
+  static void CancelQueued(std::vector<AdmissionController::Entry> orphaned);
 
   /// Terminal accounting: classifies `status` into the conservation
   /// counters, records per-outcome latency, closes the request's trace
@@ -368,19 +378,12 @@ class InferenceServer {
   // are never taken under it (DESIGN.md §13).
   mutable util::Mutex mu_;
   util::CondVar work_ready_;
-  util::CondVar fallback_ready_;
   util::CondVar watchdog_cv_;
   // Tiered per-tenant WDRR admission queues — the passive replacement for
   // the old FIFO deque, guarded by the same lock (DESIGN.md §14).
   AdmissionController admission_ GUARDED_BY(mu_);
-  std::deque<std::unique_ptr<Flight>> fallback_queue_ GUARDED_BY(mu_);
   bool shutdown_started_ GUARDED_BY(mu_) = false;
   bool watchdog_stop_ GUARDED_BY(mu_) = false;
-  // Set after the scheduler thread is joined: from then on no new degraded
-  // flights can arrive, so the fallback thread may exit once its queue is
-  // empty — never before, or a flight degraded while the scheduler wound
-  // down would orphan its promise.
-  bool scheduler_done_ GUARDED_BY(mu_) = false;
   // Adapter version new admissions pin; null serves the base model.
   std::shared_ptr<const AdapterVersion> active_version_ GUARDED_BY(mu_);
   // Read mid-decode for cooperative cancellation without taking mu_.
@@ -399,7 +402,6 @@ class InferenceServer {
   // Cleared by the scheduler once recovery completes.
   std::atomic<bool> stall_abort_{false};
   std::thread scheduler_;
-  std::thread fallback_;
   std::thread watchdog_;
 };
 

@@ -224,7 +224,7 @@ TEST_F(BatchedDecodeTest, SharedSnapshotRestoreStaysBitExact) {
   ExpectBitIdentical(logits[1], reference, "restored row 2");
 }
 
-// KvCache slot pooling: truncating or resetting one slot must not disturb
+// KvCache slot pooling: extending or resetting one slot must not disturb
 // the pages of another.
 TEST(KvCacheSlots, SlotsAreIndependent) {
   NoGradGuard no_grad;
@@ -241,16 +241,21 @@ TEST(KvCacheSlots, SlotsAreIndependent) {
   std::vector<float> slot1_k(cache.layer(0, 1)->k.data(),
                              cache.layer(0, 1)->k.data() +
                                  cache.layer(0, 1)->k.size());
-  cache.TruncateTokens(2, 0);
-  EXPECT_EQ(cache.tokens(0), 2u);
-  EXPECT_EQ(cache.tokens(1), 7u);
+  auto expect_slot1_intact = [&] {
+    EXPECT_EQ(cache.tokens(1), 7u);
+    ASSERT_EQ(cache.layer(0, 1)->k.size(), slot1_k.size());
+    for (size_t i = 0; i < slot1_k.size(); ++i) {
+      EXPECT_EQ(cache.layer(0, 1)->k.data()[i], slot1_k[i]) << i;
+    }
+  };
+  std::vector<int> more_a = RandomTokens(2, 3);
+  lm.HiddenBatched({{&more_a, 0}}, &cache);
+  EXPECT_EQ(cache.tokens(0), 7u);
+  expect_slot1_intact();
   cache.ResetSlot(0);
   EXPECT_EQ(cache.tokens(0), 0u);
   EXPECT_FALSE(cache.seeded(0));
-  ASSERT_EQ(cache.layer(0, 1)->k.size(), slot1_k.size());
-  for (size_t i = 0; i < slot1_k.size(); ++i) {
-    EXPECT_EQ(cache.layer(0, 1)->k.data()[i], slot1_k[i]) << i;
-  }
+  expect_slot1_intact();
 }
 
 }  // namespace

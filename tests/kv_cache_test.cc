@@ -266,6 +266,14 @@ TEST_F(KvCacheTest, PrefixTuningParity) {
   DecodeSession session(lm_, options);
   std::vector<int> head(tokens.begin(), tokens.begin() + 6);
   ExpectRowsBitIdentical(full, 0, session.Prefill(head));
+  BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
+  for (size_t t = 6; t < tokens.size(); ++t) {
+    ExpectRowsBitIdentical(full, t, session.Decode(tokens[t]));
+  }
+  // Rewind to the head boundary: the prefix rows survive the restore and
+  // the tail decodes bit-identically again.
+  session.Restore(mark);
+  EXPECT_EQ(session.tokens(), head.size());
   for (size_t t = 6; t < tokens.size(); ++t) {
     ExpectRowsBitIdentical(full, t, session.Decode(tokens[t]));
   }
@@ -315,12 +323,12 @@ TEST_F(KvCacheTest, RewindReproducesBitIdenticalLogits) {
 
   DecodeSession session(lm_, {});
   session.Prefill(prompt);
-  DecodeSession::Checkpoint mark = session.Save();
+  BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
   Tensor first = session.Prefill(continuation_a);
-  session.Rewind(mark);
+  session.Restore(mark);
   EXPECT_EQ(session.tokens(), prompt.size());
   session.Prefill(continuation_b);  // pollute, then rewind again
-  session.Rewind(mark);
+  session.Restore(mark);
   Tensor second = session.Prefill(continuation_a);
   ExpectBitIdentical(first, second);
 }
@@ -372,13 +380,22 @@ TEST_F(KvCacheTest, CacheTracksPrefixRowsSeparately) {
   options.prefix = &prefix;
   NoGradGuard no_grad;
   KvCache cache(lm_.config().num_layers);
-  lm_.LogitsIncremental(RandomTokens(5, 89), &cache, options);
+  std::vector<int> tokens = RandomTokens(5, 89);
+  lm_.LogitsBatched({{&tokens, 0}}, &cache, options);
   EXPECT_EQ(cache.tokens(), size_t{5});
   EXPECT_EQ(cache.prefix_rows(), size_t{2});
   EXPECT_EQ(cache.layer(0)->rows(), size_t{7});
-  cache.TruncateTokens(1);
-  EXPECT_EQ(cache.tokens(), size_t{1});
-  EXPECT_EQ(cache.layer(0)->rows(), size_t{3});
+
+  // Across a rewind the prefix rows stay apart from the token count.
+  DecodeSession session(lm_, options);
+  session.Prefill({tokens[0]});
+  BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
+  session.Prefill({tokens.begin() + 1, tokens.end()});
+  EXPECT_EQ(session.tokens(), size_t{5});
+  EXPECT_EQ(session.Snapshot().keys[0].dim(0), size_t{7});
+  session.Restore(mark);
+  EXPECT_EQ(session.tokens(), size_t{1});
+  EXPECT_EQ(session.Snapshot().keys[0].dim(0), size_t{3});
 }
 
 }  // namespace

@@ -278,9 +278,9 @@ TEST(RaceStress, FaultRegistryConcurrentHits) {
 // ---------------------------------------------------------------------------
 // Parallel MCQ decode: the production eval pattern — ParallelForEach fans
 // MCQ scoring out over the global pool, each task running its own
-// DecodeSession (prefill + save/rewind churn) against one shared model.
-// The model weights are shared read-only; obs engine metrics are the shared
-// mutable state.
+// DecodeSession (prefill + snapshot/restore churn) against one shared
+// model. The model weights are shared read-only; obs engine metrics are the
+// shared mutable state.
 TEST(RaceStress, ParallelMcqDecodeSharedModel) {
   model::TransformerConfig config;
   config.vocab_size = 32;
@@ -304,10 +304,10 @@ TEST(RaceStress, ParallelMcqDecodeSharedModel) {
     tensor::NoGradGuard no_grad;
     model::DecodeSession session(lm);
     session.Prefill(prompt);
-    model::DecodeSession::Checkpoint mark = session.Save();
+    model::BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
     for (const std::vector<int>& continuation : continuations) {
       double lp = model::SequenceLogProb(lm, prompt, continuation);
-      session.Rewind(mark);
+      session.Restore(mark);
       expected.push_back(lp);
     }
   }
@@ -318,11 +318,11 @@ TEST(RaceStress, ParallelMcqDecodeSharedModel) {
     tensor::NoGradGuard no_grad;
     model::DecodeSession session(lm);
     session.Prefill(prompt);
-    model::DecodeSession::Checkpoint mark = session.Save();
+    model::BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
     const std::vector<int>& continuation =
         continuations[task % continuations.size()];
     session.Prefill(continuation);
-    session.Rewind(mark);
+    session.Restore(mark);
     scores[task] = model::SequenceLogProb(lm, prompt, continuation);
   });
   for (size_t task = 0; task < kTasks; ++task) {

@@ -377,6 +377,102 @@ TEST_F(ServeFixture, TightTokenBudgetDefersButServesAll) {
   }
 }
 
+// The step budget caps the tokens ONE step feeds, summed over every row it
+// admits — not each prompt on its own. Three equal-length prompts queue
+// behind a held scheduler; the budget leaves room for one prompt next to
+// the held row's decode token, so no step may carry more than two rows.
+TEST_F(ServeFixture, StepTokenBudgetCountsEveryAdmittedPrefill) {
+  obs::Registry::Get().ResetAll();
+  util::FaultRegistry& faults = util::FaultRegistry::Get();
+  const std::string prompt = PromptWithLongReference(2, 4);
+  std::vector<int> reference = Reference(prompt, 4);
+  // Hold the scheduler in the retry backoff of the first request's first
+  // decode step while the others queue.
+  ASSERT_TRUE(faults.Configure("serve/decode_step=fail@1").ok());
+  ServeOptions options;
+  options.max_batch_rows = 4;
+  options.max_batch_tokens =
+      tokenizer_->EncodeWithSpecials(prompt, false).size() + 1;
+  options.kv_budget_tokens = 0;  // every admission prefills its prompt
+  options.retry = {
+      .max_attempts = 2, .base_delay_ms = 300, .multiplier = 1.0};
+  InferenceServer server(*lm_, *tokenizer_, options);
+
+  std::vector<std::future<Response>> futures;
+  futures.push_back(server.Submit({prompt, 4}));
+  while (faults.hits("serve/decode_step") == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  for (int i = 0; i < 3; ++i) futures.push_back(server.Submit({prompt, 4}));
+  for (std::future<Response>& future : futures) {
+    Response response = future.get();
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    EXPECT_EQ(response.tokens, reference);
+  }
+  obs::HistogramStats occupancy =
+      obs::Registry::Get().TakeSnapshot().histograms.at(
+          "serve/batch_occupancy");
+  EXPECT_LE(occupancy.max,
+            2.0 / static_cast<double>(options.max_batch_rows));
+}
+
+// A permanent decode fault on one row of a running batch degrades only
+// that row: it re-prefills its prompt plus the tokens it already generated
+// on a fresh slot, inside the batch, while its siblings keep decoding.
+// Every stream stays bit-exact with GreedyDecode.
+TEST_F(ServeFixture, PermanentDecodeFaultDegradesOneRowInsideTheBatch) {
+  obs::Registry::Get().ResetAll();
+  util::FaultRegistry& faults = util::FaultRegistry::Get();
+  // Three prompts that each decode at least 4 tokens, so every row
+  // evaluates the decode-step fault point after tokens 1, 2 and 3.
+  const std::vector<std::string> candidates = {
+      "alpha beta gamma",  "iota kappa",    "sigma tau alpha",
+      "delta epsilon",     "mu nu xi pi",   "theta iota omicron",
+      "beta delta zeta",   "rho sigma",     "eta theta alpha beta",
+  };
+  std::vector<std::string> prompts;
+  std::vector<std::vector<int>> references;
+  for (const std::string& prompt : candidates) {
+    std::vector<int> reference = Reference(prompt, 8);
+    if (reference.size() < 4 || prompts.size() == 3) continue;
+    prompts.push_back(prompt);
+    references.push_back(std::move(reference));
+  }
+  ASSERT_EQ(prompts.size(), 3u);
+
+  // A sacrificial request wedges the first step until the watchdog fails
+  // it, so the three rows queue up and enter the batch together. Without
+  // retries the single failing hit #5 is the middle row's decode step
+  // after its second token.
+  ASSERT_TRUE(
+      faults.Configure("serve/decode_stall=fail@1;serve/decode_step=fail@5")
+          .ok());
+  ServeOptions options;
+  options.max_batch_rows = 3;
+  options.retry = {.max_attempts = 1};
+  options.watchdog_interval = milliseconds(10);
+  options.watchdog_stall_timeout = milliseconds(150);
+  InferenceServer server(*lm_, *tokenizer_, options);
+
+  std::future<Response> wedged = server.Submit({prompts[0], 8});
+  while (faults.hits("serve/decode_stall") == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  std::vector<std::future<Response>> futures;
+  for (const std::string& prompt : prompts) {
+    futures.push_back(server.Submit({prompt, 8}));
+  }
+  EXPECT_EQ(wedged.get().status.code(), util::StatusCode::kUnavailable);
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Response response = futures[i].get();
+    ASSERT_TRUE(response.status.ok()) << prompts[i] << ": "
+                                      << response.status;
+    EXPECT_EQ(response.tokens, references[i]) << prompts[i];
+    EXPECT_EQ(response.degraded, i == 1) << prompts[i];
+  }
+  EXPECT_EQ(obs::Registry::Get().GetCounter("serve/degraded")->Value(), 1u);
+}
+
 // Graceful drain: with a drain deadline configured and a queue that fits
 // the budget, Shutdown() must deliver every admitted AND queued request —
 // zero cancellations.
