@@ -1,5 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark) for the tensor/autograd
 // substrate: the per-op costs that dominate experiment wall-clock.
+// Benchmarks whose ops may fan out over the thread pool use real (wall)
+// time: the main thread's CPU time leaves out the workers' share.
 //
 // Accepts --metrics_out=<path> / --trace_out=<path> plus the live-export
 // flags --metrics_export_every=<ms> / --metrics_export_ndjson=<path> /
@@ -9,12 +11,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/decode_session.h"
@@ -28,6 +33,7 @@
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/threadpool.h"
 
 namespace infuserki::tensor {
 namespace {
@@ -40,10 +46,11 @@ void BM_MatmulNT(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(MatmulNT(a, b));
   }
+  // Items are FLOPs (2 per multiply-add), so items/s reads as FLOP/s.
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * n * n));
+                          static_cast<int64_t>(2 * n * n * n));
 }
-BENCHMARK(BM_MatmulNT)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_MatmulNT)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_Softmax(benchmark::State& state) {
   util::Rng rng(2);
@@ -64,7 +71,7 @@ void BM_CausalSelfAttention(benchmark::State& state) {
     benchmark::DoNotOptimize(CausalSelfAttention(q, k, v, 4));
   }
 }
-BENCHMARK(BM_CausalSelfAttention)->Arg(16)->Arg(64);
+BENCHMARK(BM_CausalSelfAttention)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_LmForward(benchmark::State& state) {
   model::TransformerConfig config;
@@ -81,7 +88,7 @@ void BM_LmForward(benchmark::State& state) {
     benchmark::DoNotOptimize(lm.Logits(tokens));
   }
 }
-BENCHMARK(BM_LmForward);
+BENCHMARK(BM_LmForward)->UseRealTime();
 
 model::TransformerConfig BenchLmConfig() {
   model::TransformerConfig config;
@@ -109,7 +116,7 @@ void BM_LmDecodeUncached(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(target - 8));
 }
-BENCHMARK(BM_LmDecodeUncached)->Arg(32)->Arg(96);
+BENCHMARK(BM_LmDecodeUncached)->Arg(32)->Arg(96)->UseRealTime();
 
 /// KV-cached decode: prefill once, then single-token incremental steps.
 void BM_LmDecodeCached(benchmark::State& state) {
@@ -128,7 +135,7 @@ void BM_LmDecodeCached(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(target - 8));
 }
-BENCHMARK(BM_LmDecodeCached)->Arg(32)->Arg(96);
+BENCHMARK(BM_LmDecodeCached)->Arg(32)->Arg(96)->UseRealTime();
 
 void BM_LmTrainStep(benchmark::State& state) {
   model::TransformerConfig config;
@@ -146,7 +153,7 @@ void BM_LmTrainStep(benchmark::State& state) {
     for (Tensor& p : lm.Parameters()) p.ZeroGrad();
   }
 }
-BENCHMARK(BM_LmTrainStep);
+BENCHMARK(BM_LmTrainStep)->UseRealTime();
 
 /// Head-to-head cached vs. uncached decode at max_seq_len, run outside the
 /// google-benchmark harness so the numbers land in the obs registry (and
@@ -219,6 +226,94 @@ void RunDecodeCompare() {
   std::printf("decode_speedup=%.2f\n", speedup);
 }
 
+/// Wall time of one call of `fn`, which writes `out`, in seconds, averaged
+/// over calls repeated for at least 20 ms.
+template <typename Fn>
+double SecondsPerCall(const Fn& fn, float* out) {
+  size_t calls = 0;
+  util::Stopwatch watch;
+  do {
+    fn();
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+    ++calls;
+  } while (watch.ElapsedSeconds() < 0.02);
+  return watch.ElapsedSeconds() / static_cast<double>(calls);
+}
+
+/// GFLOP/s of the scalar reference and of the kernel for one GEMM, each
+/// the best of five trials. The trials alternate between the two, so a
+/// busy host slows both alike.
+template <typename Reference, typename Kernel>
+std::pair<double, double> CompareGflops(double flops, float* out,
+                                        const Reference& reference,
+                                        const Kernel& kernel) {
+  double best_reference = 0.0, best_kernel = 0.0;
+  for (int trial = 0; trial < 5; ++trial) {
+    best_reference = std::max(
+        best_reference, flops / SecondsPerCall(reference, out) * 1e-9);
+    best_kernel =
+        std::max(best_kernel, flops / SecondsPerCall(kernel, out) * 1e-9);
+  }
+  return {best_reference, best_kernel};
+}
+
+/// Scalar reference vs. GEMM kernel at the paper-scale shapes (d = 64,
+/// FFN 128, vocabulary 1813; m = 8 decode rows and a 256-row prefill), on
+/// one thread so the numbers are the kernel's own. Prints one line per
+/// shape, then "gemm_simd=0|1" and "gemm_speedup=<x>": the geometric mean
+/// of the kernel / reference ratios over every shape and both layouts,
+/// which scripts/check_build.sh gates when the SIMD kernel is built.
+void RunGemmCompare() {
+  struct GemmShape {
+    size_t m, k, n;
+  };
+  const GemmShape shapes[] = {{8, 64, 64},    {8, 64, 128},
+                              {8, 128, 64},   {8, 64, 1813},
+                              {256, 64, 64},  {256, 64, 128},
+                              {256, 128, 64}, {256, 64, 1813}};
+  util::ThreadPool one_thread(1);
+  util::Rng rng(7);
+  double log_speedup = 0.0;
+  size_t ratios = 0;
+  for (const GemmShape& s : shapes) {
+    std::vector<float> a = Tensor::Randn({s.m * s.k}, &rng).vec();
+    std::vector<float> b = Tensor::Randn({s.k * s.n}, &rng).vec();
+    std::vector<float> c(s.m * s.n, 0.0f);
+    double flops = 2.0 * static_cast<double>(s.m * s.k * s.n);
+    auto [nt_ref, nt_kernel] = CompareGflops(
+        flops, c.data(),
+        [&] {
+          internal::GemmNTAccReference(a.data(), b.data(), c.data(), s.m,
+                                       s.k, s.n);
+        },
+        [&] {
+          internal::GemmNTAcc(a.data(), b.data(), c.data(), s.m, s.k, s.n,
+                              one_thread);
+        });
+    auto [nn_ref, nn_kernel] = CompareGflops(
+        flops, c.data(),
+        [&] {
+          internal::GemmAccReference(a.data(), b.data(), c.data(), s.m, s.k,
+                                     s.n);
+        },
+        [&] {
+          internal::GemmAcc(a.data(), b.data(), c.data(), s.m, s.k, s.n,
+                            one_thread);
+        });
+    std::printf(
+        "gemm_compare: m=%zu k=%zu n=%zu GFLOP/s nt_ref=%.2f nt_kernel=%.2f "
+        "(%.1fx) nn_ref=%.2f nn_kernel=%.2f (%.1fx)\n",
+        s.m, s.k, s.n, nt_ref, nt_kernel, nt_kernel / nt_ref, nn_ref,
+        nn_kernel, nn_kernel / nn_ref);
+    log_speedup += std::log(nt_kernel / nt_ref) + std::log(nn_kernel / nn_ref);
+    ratios += 2;
+  }
+  std::printf("gemm_simd=%d\n", internal::GemmSimd() ? 1 : 0);
+  std::printf("gemm_speedup=%.2f\n",
+              std::exp(log_speedup / static_cast<double>(ratios)));
+}
+
 /// Crash/resume smoke harness for scripts/check_build.sh. Runs a tiny
 /// pretraining job with checkpointing under `dir`. A first invocation with
 /// INFUSERKI_FAULTS="trainer/step=crash@60" dies mid-run (exit 42); a
@@ -283,6 +378,23 @@ std::string TakeFlag(int* argc, char** argv, const char* name) {
   return value;
 }
 
+/// Pulls a boolean `--<name>` or `--<name>=1` out of argv (compacting it)
+/// and returns whether it was set.
+bool TakeBoolFlag(int* argc, char** argv, const char* name) {
+  std::string bare = std::string("--") + name;
+  bool set = false;
+  int out = 1;
+  for (int i = 1; i < *argc; ++i) {
+    if (bare == argv[i]) {
+      set = true;
+    } else {
+      argv[out++] = argv[i];
+    }
+  }
+  *argc = out;
+  return TakeFlag(argc, argv, name) == "1" || set;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -292,18 +404,10 @@ int main(int argc, char** argv) {
   }
   std::string metrics_out = TakeFlag(&argc, argv, "metrics_out");
   std::string trace_out = TakeFlag(&argc, argv, "trace_out");
-  // Boolean flag: --decode_compare or --decode_compare=1 runs the cached
-  // vs. uncached decode comparison after the registered benchmarks.
-  bool decode_compare = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--decode_compare") == 0) {
-      decode_compare = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  decode_compare |= TakeFlag(&argc, argv, "decode_compare") == "1";
+  // Run after the registered benchmarks: the cached vs. uncached decode
+  // comparison, and the reference vs. kernel GEMM comparison.
+  bool decode_compare = TakeBoolFlag(&argc, argv, "decode_compare");
+  bool gemm_compare = TakeBoolFlag(&argc, argv, "gemm_compare");
   std::string export_every = TakeFlag(&argc, argv, "metrics_export_every");
   infuserki::obs::ExporterOptions exporter_options;
   exporter_options.period = std::chrono::milliseconds(
@@ -326,6 +430,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   if (decode_compare) infuserki::tensor::RunDecodeCompare();
+  if (gemm_compare) infuserki::tensor::RunGemmCompare();
 
   if (!trace_out.empty() &&
       !infuserki::obs::Tracer::Get().WriteChromeTrace(trace_out)) {

@@ -10,6 +10,10 @@
 # 3. Runs the cached-vs-uncached decode comparison (--decode_compare) and
 #    asserts the KV-cache engine delivers at least a 3x decode speedup at
 #    max_seq_len, with the numbers recorded in the manifest.
+# 3b. Runs the GEMM comparison (--gemm_compare) from the Release tree and,
+#    when the AVX-512 kernels are built (gemm_simd=1), asserts they run at
+#    least 4x the scalar reference (geometric mean over the paper-scale
+#    shapes, one thread).
 # 4. Builds the durability tests under ASan+UBSan and runs them, so the
 #    corruption-fuzz and fault-injection paths are exercised with memory
 #    and UB checking on.
@@ -114,6 +118,30 @@ grep -q '"engine/bench_decode_speedup"' "$DECODE_METRICS" || {
   exit 1
 }
 echo "decode speedup OK: ${SPEEDUP}x (>= 3x)"
+
+echo "== GEMM kernel gate: SIMD kernel vs scalar reference (${BUILD_DIR}) =="
+# The tier-1 Release tree: its -march=native build is the one that turns
+# the AVX-512 kernels on. Hosts without AVX-512 run the reference itself
+# (gemm_simd=0), so there is nothing to gate there.
+GEMM_OUT="${TMPDIR:-/tmp}/check_build_gemm.txt"
+"$BUILD_DIR/bench/bench_micro_tensor" \
+  --benchmark_filter='^$' \
+  --gemm_compare | tee "$GEMM_OUT"
+GEMM_SIMD="$(sed -n 's/^gemm_simd=//p' "$GEMM_OUT")"
+GEMM_SPEEDUP="$(sed -n 's/^gemm_speedup=//p' "$GEMM_OUT")"
+test -n "$GEMM_SIMD" && test -n "$GEMM_SPEEDUP" || {
+  echo "FAIL: gemm_simd / gemm_speedup lines missing from --gemm_compare" >&2
+  exit 1
+}
+if [ "$GEMM_SIMD" = "1" ]; then
+  awk "BEGIN { exit !($GEMM_SPEEDUP >= 4.0) }" || {
+    echo "FAIL: GEMM kernel speedup ${GEMM_SPEEDUP}x is below the 4x floor" >&2
+    exit 1
+  }
+  echo "GEMM kernel OK: ${GEMM_SPEEDUP}x the scalar reference (>= 4x)"
+else
+  echo "GEMM kernel: no AVX-512 in this build; the reference is the kernel"
+fi
 
 echo "== durability: ASan+UBSan serialize/checkpoint/fault tests =="
 ASAN_DIR="${BUILD_DIR}-asan"

@@ -919,14 +919,7 @@ void InferenceServer::SchedulerLoop() {
       if (done) {
         park(&f);
         f.response.tokens = std::move(f.generated);
-        util::StatusOr<std::string> text =
-            tokenizer_.Decode(f.response.tokens);
-        if (!text.ok()) {
-          Deliver(&f, text.status());
-        } else {
-          f.response.text = std::move(*text);
-          Deliver(&f, util::Status::OK());
-        }
+        Deliver(&f, util::Status::OK());
         release(&rows[i]);
         continue;
       }

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <cstring>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include "obs/metrics.h"
 #include "util/threadpool.h"
 
@@ -14,11 +18,17 @@ using internal::TensorImpl;
 
 constexpr size_t kParallelGrain = 8;
 
-// GEMMs below this many multiply-adds run inline: thread-pool dispatch
-// (schedule + wait) costs more than the arithmetic itself. Partitioning
+// GEMMs below this many multiply-adds run inline. A ParallelFor costs
+// about 10 us on a 4-core host, and the SIMD kernels do 15-50 G
+// multiply-adds per second on one core, so 2^20 of them take 20-70 us;
+// below that, splitting saves less than the dispatch costs. Partitioning
 // only splits output rows across threads — each element's accumulation
 // order is unchanged — so the inline/parallel choice never changes results.
-constexpr size_t kGemmParallelMinWork = 1 << 15;
+constexpr size_t kGemmParallelMinWork = 1 << 20;
+
+// Ragged attention's threshold: its scalar loops do several times the SIMD
+// kernels' work per multiply-add, so splitting pays off sooner.
+constexpr size_t kAttentionParallelMinWork = 1 << 15;
 
 size_t GemmRowGrain(size_t m, size_t k, size_t n) {
   return (m * k * n < kGemmParallelMinWork) ? m : kParallelGrain;
@@ -77,53 +87,289 @@ BroadcastKind CheckBroadcast(const Tensor& a, const Tensor& b,
   return BroadcastKind::kSuffix;
 }
 
-// C[m,n] += A[m,k] * B[k,n]
-void GemmAcc(const float* a, const float* b, float* c, size_t m, size_t k,
-             size_t n) {
-  CountGemm(m, k, n);
-  util::ParallelFor(m, GemmRowGrain(m, k, n), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* c_row = c + i * n;
-      const float* a_row = a + i * k;
-      for (size_t p = 0; p < k; ++p) {
-        float av = a_row[p];
-        if (av == 0.0f) continue;
-        const float* b_row = b + p * n;
-        for (size_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
+// --- GEMM kernels -----------------------------------------------------------
+//
+// Accumulation-order contract (DESIGN.md §11): each output element's
+// arithmetic depends only on k — never on m, the element's block position,
+// the row partition or the pool width — so a row computed in a batch equals
+// the same row computed alone, bit for bit.
+//
+//  * NT (C += A·Bᵀ, dot products along contiguous k): 16 lane partial sums,
+//    lane l taking p = l, l + 16, ... by fma, the k tail padded with zeros;
+//    then the fixed fold s[l] += s[l + w] for w = 8, 4, 2, 1; then c += s[0].
+//  * NN (C += A·B): c = fma(a[p], b[p][j], c) for p = 0, 1, ..., k - 1,
+//    starting from C's incoming value.
+//
+// The scalar references below spell that order out one element at a time.
+// The AVX-512 kernels compute the same operations in the same order on
+// register blocks of outputs, so the two paths agree bit for bit; hosts
+// without AVX-512 run the references.
+
+constexpr size_t kLanes = 16;
+
+void GemmNTReferenceRows(const float* a, const float* b, float* c, size_t k,
+                         size_t n, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    const float* a_row = a + i * k;
+    for (size_t j = 0; j < n; ++j) {
+      const float* b_row = b + j * k;
+      float s[kLanes] = {};
+      for (size_t p0 = 0; p0 < k; p0 += kLanes) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          size_t p = p0 + l;
+          float av = p < k ? a_row[p] : 0.0f;
+          float bv = p < k ? b_row[p] : 0.0f;
+          s[l] = std::fma(av, bv, s[l]);
+        }
       }
+      for (size_t w = kLanes / 2; w > 0; w /= 2) {
+        for (size_t l = 0; l < w; ++l) s[l] += s[l + w];
+      }
+      c[i * n + j] += s[0];
     }
-  });
+  }
 }
 
-// C[m,n] += A[m,k] * B[n,k]^T
-void GemmNTAcc(const float* a, const float* b, float* c, size_t m, size_t k,
-               size_t n) {
-  CountGemm(m, k, n);
-  util::ParallelFor(m, GemmRowGrain(m, k, n), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const float* a_row = a + i * k;
-      float* c_row = c + i * n;
+void GemmNNReferenceRows(const float* a, const float* b, float* c, size_t k,
+                         size_t n, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    float* c_row = c + i * n;
+    for (size_t p = 0; p < k; ++p) {
+      float av = a[i * k + p];
+      const float* b_row = b + p * n;
       for (size_t j = 0; j < n; ++j) {
-        const float* b_row = b + j * k;
-        float acc = 0.0f;
-        for (size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-        c_row[j] += acc;
+        c_row[j] = std::fma(av, b_row[j], c_row[j]);
       }
     }
-  });
+  }
 }
+
+#if defined(__AVX512F__)
+
+// Every loop with a compile-time trip count below is unrolled by
+// `#pragma GCC unroll` before GCC's scalar replacement runs, so each
+// accumulator array lives in registers; left to the later unroller, GCC
+// keeps the arrays on the stack and stores every accumulator each k step.
+
+// Mask of the low `count` lanes (count <= 16).
+inline __mmask16 LowLanes(size_t count) {
+  return static_cast<__mmask16>((1u << count) - 1);
+}
+
+// permutex2var indices for one level of the NT fold at half-width h. A
+// level pairs vectors X and Y that each hold 16 / (2h) accumulators of 2h
+// lanes; the result holds X's accumulators then Y's, h lanes each, lane e
+// of accumulator q being (lane e) + (lane e + h) of its 2h-lane partial.
+struct FoldLevel {
+  alignas(64) int32_t lo[kLanes];
+  alignas(64) int32_t hi[kLanes];
+};
+
+constexpr FoldLevel MakeFoldLevel(int32_t h) {
+  FoldLevel level{};
+  int32_t half = static_cast<int32_t>(kLanes) / (2 * h);
+  for (int32_t t = 0; t < static_cast<int32_t>(kLanes); ++t) {
+    int32_t q = t / h, e = t % h;
+    int32_t src = (q < half ? 0 : 16) + (q % half) * 2 * h + e;
+    level.lo[t] = src;
+    level.hi[t] = src + h;
+  }
+  return level;
+}
+
+constexpr FoldLevel kFoldLevels[4] = {MakeFoldLevel(8), MakeFoldLevel(4),
+                                      MakeFoldLevel(2), MakeFoldLevel(1)};
+
+// One level of the fold on vectors x and y (see FoldLevel).
+inline __m512 FoldPair(__m512 x, __m512 y, const FoldLevel& level) {
+  const __m512i lo = _mm512_load_si512(level.lo);
+  const __m512i hi = _mm512_load_si512(level.hi);
+  return _mm512_add_ps(_mm512_permutex2var_ps(x, lo, y),
+                       _mm512_permutex2var_ps(x, hi, y));
+}
+
+// Folds 16 lane-partial vectors at once: lane t of the result is acc[t]
+// folded s[l] += s[l + w] for w = 8, 4, 2, 1 — the reference's fold, done
+// as a transposing reduction tree (15 adds for 16 outputs, not 64). Each
+// level has its own array, so every vector stays in a register.
+inline __m512 FoldLanes(const __m512 (&acc)[kLanes]) {
+  __m512 w8[8], w4[4], w2[2];
+#pragma GCC unroll 16
+  for (size_t v = 0; v < 8; ++v) {
+    w8[v] = FoldPair(acc[2 * v], acc[2 * v + 1], kFoldLevels[0]);
+  }
+#pragma GCC unroll 16
+  for (size_t v = 0; v < 4; ++v) {
+    w4[v] = FoldPair(w8[2 * v], w8[2 * v + 1], kFoldLevels[1]);
+  }
+#pragma GCC unroll 16
+  for (size_t v = 0; v < 2; ++v) {
+    w2[v] = FoldPair(w4[2 * v], w4[2 * v + 1], kFoldLevels[2]);
+  }
+  return FoldPair(w2[0], w2[1], kFoldLevels[3]);
+}
+
+// One MR x NR block of C += A·Bᵀ (MR * NR == 16 accumulators) at row i,
+// column j, of which the first `cols` columns exist. Columns past n reuse
+// B's last row and are computed but never stored.
+template <size_t MR, size_t NR>
+void GemmNTBlock(const float* a, const float* b, float* c, size_t k,
+                 size_t n, size_t i, size_t j, size_t cols) {
+  static_assert(MR * NR == kLanes);
+  const float* a_rows[MR];
+  const float* b_rows[NR];
+#pragma GCC unroll 16
+  for (size_t r = 0; r < MR; ++r) a_rows[r] = a + (i + r) * k;
+#pragma GCC unroll 16
+  for (size_t col = 0; col < NR; ++col) {
+    b_rows[col] = b + std::min(j + col, n - 1) * k;
+  }
+  __m512 acc[kLanes];
+#pragma GCC unroll 16
+  for (size_t t = 0; t < kLanes; ++t) acc[t] = _mm512_setzero_ps();
+  // One loop for full chunks and the zero-padded tail alike.
+  for (size_t p = 0; p < k; p += kLanes) {
+    const __mmask16 mask = LowLanes(std::min(kLanes, k - p));
+    __m512 av[MR];
+#pragma GCC unroll 16
+    for (size_t r = 0; r < MR; ++r) {
+      av[r] = _mm512_maskz_loadu_ps(mask, a_rows[r] + p);
+    }
+#pragma GCC unroll 16
+    for (size_t col = 0; col < NR; ++col) {
+      __m512 bv = _mm512_maskz_loadu_ps(mask, b_rows[col] + p);
+#pragma GCC unroll 16
+      for (size_t r = 0; r < MR; ++r) {
+        acc[r * NR + col] = _mm512_fmadd_ps(av[r], bv, acc[r * NR + col]);
+      }
+    }
+  }
+  // Lane r * NR + col holds the sum for C[i + r][j + col].
+  __m512 sums = FoldLanes(acc);
+  const __mmask16 store = LowLanes(cols);
+  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15);
+#pragma GCC unroll 16
+  for (size_t r = 0; r < MR; ++r) {
+    // The maskz form: GCC 12's unmasked permutexvar header raises a
+    // -Wuninitialized false positive.
+    __m512 row = _mm512_maskz_permutexvar_ps(
+        store,
+        _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(r * NR))),
+        sums);
+    float* c_row = c + (i + r) * n + j;
+    _mm512_mask_storeu_ps(
+        c_row, store, _mm512_add_ps(_mm512_maskz_loadu_ps(store, c_row), row));
+  }
+}
+
+template <size_t MR, size_t NR>
+void GemmNTRowBlock(const float* a, const float* b, float* c, size_t k,
+                    size_t n, size_t i) {
+  for (size_t j = 0; j < n; j += NR) {
+    GemmNTBlock<MR, NR>(a, b, c, k, n, i, j, std::min(NR, n - j));
+  }
+}
+
+void GemmNTKernelRows(const float* a, const float* b, float* c, size_t k,
+                      size_t n, size_t begin, size_t end) {
+  size_t i = begin;
+  for (; i + 4 <= end; i += 4) GemmNTRowBlock<4, 4>(a, b, c, k, n, i);
+  for (; i + 2 <= end; i += 2) GemmNTRowBlock<2, 8>(a, b, c, k, n, i);
+  for (; i < end; ++i) GemmNTRowBlock<1, 16>(a, b, c, k, n, i);
+}
+
+// One MR-row x 64-column block of C += A·B at row i, column j, of which
+// the first `cols` columns exist; the missing ones are masked off. The
+// block's C values stay in registers across the whole k loop.
+template <size_t MR>
+void GemmNNBlock(const float* a, const float* b, float* c, size_t k,
+                 size_t n, size_t i, size_t j, size_t cols) {
+  constexpr size_t kVectors = 4;
+  // A vector wholly past column n reads nothing (mask 0), and points at the
+  // block's first column so no pointer leaves the array.
+  __mmask16 masks[kVectors];
+  size_t offsets[kVectors];
+#pragma GCC unroll 16
+  for (size_t v = 0; v < kVectors; ++v) {
+    size_t first = v * kLanes;
+    masks[v] = LowLanes(cols > first ? std::min(kLanes, cols - first) : 0);
+    offsets[v] = j + (cols > first ? first : 0);
+  }
+  __m512 acc[MR][kVectors];
+#pragma GCC unroll 16
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 16
+    for (size_t v = 0; v < kVectors; ++v) {
+      acc[r][v] =
+          _mm512_maskz_loadu_ps(masks[v], c + (i + r) * n + offsets[v]);
+    }
+  }
+  for (size_t p = 0; p < k; ++p) {
+    __m512 bv[kVectors];
+#pragma GCC unroll 16
+    for (size_t v = 0; v < kVectors; ++v) {
+      bv[v] = _mm512_maskz_loadu_ps(masks[v], b + p * n + offsets[v]);
+    }
+#pragma GCC unroll 16
+    for (size_t r = 0; r < MR; ++r) {
+      __m512 av = _mm512_set1_ps(a[(i + r) * k + p]);
+#pragma GCC unroll 16
+      for (size_t v = 0; v < kVectors; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 16
+    for (size_t v = 0; v < kVectors; ++v) {
+      _mm512_mask_storeu_ps(c + (i + r) * n + offsets[v], masks[v],
+                            acc[r][v]);
+    }
+  }
+}
+
+template <size_t MR>
+void GemmNNRowBlock(const float* a, const float* b, float* c, size_t k,
+                    size_t n, size_t i) {
+  for (size_t j = 0; j < n; j += 4 * kLanes) {
+    GemmNNBlock<MR>(a, b, c, k, n, i, j, std::min(4 * kLanes, n - j));
+  }
+}
+
+void GemmNNKernelRows(const float* a, const float* b, float* c, size_t k,
+                      size_t n, size_t begin, size_t end) {
+  size_t i = begin;
+  for (; i + 4 <= end; i += 4) GemmNNRowBlock<4>(a, b, c, k, n, i);
+  for (; i + 2 <= end; i += 2) GemmNNRowBlock<2>(a, b, c, k, n, i);
+  for (; i < end; ++i) GemmNNRowBlock<1>(a, b, c, k, n, i);
+}
+
+#else
+
+void GemmNTKernelRows(const float* a, const float* b, float* c, size_t k,
+                      size_t n, size_t begin, size_t end) {
+  GemmNTReferenceRows(a, b, c, k, n, begin, end);
+}
+
+void GemmNNKernelRows(const float* a, const float* b, float* c, size_t k,
+                      size_t n, size_t begin, size_t end) {
+  GemmNNReferenceRows(a, b, c, k, n, begin, end);
+}
+
+#endif  // defined(__AVX512F__)
 
 // C[k,n] += A[m,k]^T * B[m,n]
 void GemmTNAcc(const float* a, const float* b, float* c, size_t m, size_t k,
                size_t n) {
   CountGemm(m, k, n);
-  util::ParallelFor(k, (m * k * n < kGemmParallelMinWork) ? k : kParallelGrain,
-                    [&](size_t begin, size_t end) {
+  size_t grain = (m * k * n < kGemmParallelMinWork) ? k : kParallelGrain;
+  util::ParallelFor(k, grain, [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
       float* c_row = c + p * n;
       for (size_t i = 0; i < m; ++i) {
         float av = a[i * k + p];
-        if (av == 0.0f) continue;
         const float* b_row = b + i * n;
         for (size_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
       }
@@ -154,6 +400,46 @@ Tensor UnaryOp(const Tensor& a, ForwardFn fwd, BackwardFn bwd) {
 }
 
 }  // namespace
+
+namespace internal {
+
+void GemmAcc(const float* a, const float* b, float* c, size_t m, size_t k,
+             size_t n, util::ThreadPool& pool) {
+  CountGemm(m, k, n);
+  util::ParallelFor(pool, m, GemmRowGrain(m, k, n),
+                    [&](size_t begin, size_t end) {
+                      GemmNNKernelRows(a, b, c, k, n, begin, end);
+                    });
+}
+
+void GemmNTAcc(const float* a, const float* b, float* c, size_t m, size_t k,
+               size_t n, util::ThreadPool& pool) {
+  CountGemm(m, k, n);
+  util::ParallelFor(pool, m, GemmRowGrain(m, k, n),
+                    [&](size_t begin, size_t end) {
+                      GemmNTKernelRows(a, b, c, k, n, begin, end);
+                    });
+}
+
+void GemmAccReference(const float* a, const float* b, float* c, size_t m,
+                      size_t k, size_t n) {
+  GemmNNReferenceRows(a, b, c, k, n, 0, m);
+}
+
+void GemmNTAccReference(const float* a, const float* b, float* c, size_t m,
+                        size_t k, size_t n) {
+  GemmNTReferenceRows(a, b, c, k, n, 0, m);
+}
+
+bool GemmSimd() {
+#if defined(__AVX512F__)
+  return true;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   BroadcastKind kind = CheckBroadcast(a, b, "Add");
@@ -277,14 +563,16 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Metrics().matmul_ops->Increment();
   std::vector<float> out(m * n, 0.0f);
-  GemmAcc(a.data(), b.data(), out.data(), m, k, n);
+  internal::GemmAcc(a.data(), b.data(), out.data(), m, k, n,
+                    util::GlobalThreadPool());
   return Tensor::MakeOpResult(
       {m, n}, std::move(out), {a, b}, [a, b, m, k, n](TensorImpl* result) {
         result->backward_fn = [a, b, m, k, n, result]() {
           const float* g = result->grad.data();
           // dA = dC * B^T ; dB = A^T * dC
           if (a.requires_grad()) {
-            GemmNTAcc(g, b.data(), a.impl()->MutableGrad(), m, n, k);
+            internal::GemmNTAcc(g, b.data(), a.impl()->MutableGrad(), m, n, k,
+                                util::GlobalThreadPool());
           }
           if (b.requires_grad()) {
             GemmTNAcc(a.data(), g, b.impl()->MutableGrad(), m, k, n);
@@ -301,14 +589,16 @@ Tensor MatmulNT(const Tensor& a, const Tensor& b) {
   size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   Metrics().matmul_ops->Increment();
   std::vector<float> out(m * n, 0.0f);
-  GemmNTAcc(a.data(), b.data(), out.data(), m, k, n);
+  internal::GemmNTAcc(a.data(), b.data(), out.data(), m, k, n,
+                      util::GlobalThreadPool());
   return Tensor::MakeOpResult(
       {m, n}, std::move(out), {a, b}, [a, b, m, k, n](TensorImpl* result) {
         result->backward_fn = [a, b, m, k, n, result]() {
           const float* g = result->grad.data();
           // C = A B^T : dA = dC * B ; dB = dC^T * A
           if (a.requires_grad()) {
-            GemmAcc(g, b.data(), a.impl()->MutableGrad(), m, n, k);
+            internal::GemmAcc(g, b.data(), a.impl()->MutableGrad(), m, n, k,
+                              util::GlobalThreadPool());
           }
           if (b.requires_grad()) {
             GemmTNAcc(g, a.data(), b.impl()->MutableGrad(), m, n, k);
@@ -1041,7 +1331,7 @@ Tensor CausalSelfAttentionRagged(const Tensor& q,
   for (size_t r = 0; r < row_lens.size(); ++r) {
     total_work += 4 * row_lens[r] * keys[r].dim(0) * d;
   }
-  if (row_lens.size() == 1 || total_work < kGemmParallelMinWork) {
+  if (row_lens.size() == 1 || total_work < kAttentionParallelMinWork) {
     for (size_t r = 0; r < row_lens.size(); ++r) attend_row(r);
   } else {
     util::ParallelForEach(row_lens.size(), attend_row);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/threadpool.h"
 
 namespace infuserki::tensor {
 
@@ -134,6 +135,37 @@ Tensor CausalSelfAttentionRagged(const Tensor& q,
                                  const std::vector<Tensor>& values,
                                  const std::vector<size_t>& row_lens,
                                  size_t num_heads);
+
+// -- GEMM kernels ----------------------------------------------------------
+
+namespace internal {
+
+// The raw GEMMs behind Matmul and MatmulNT, exposed so tests can check the
+// kernels against their scalar references. Row-major, accumulating into C;
+// the kernels split C's rows over `pool`. Each output element's arithmetic
+// depends only on k (DESIGN.md §11), so neither m, the row partition nor
+// the pool width changes a result bit.
+
+/// C[m,n] += A[m,k] * B[k,n]: Matmul forward, MatmulNT's dA backward.
+void GemmAcc(const float* a, const float* b, float* c, size_t m, size_t k,
+             size_t n, util::ThreadPool& pool);
+
+/// C[m,n] += A[m,k] * B[n,k]^T: MatmulNT forward, Matmul's dA backward.
+void GemmNTAcc(const float* a, const float* b, float* c, size_t m, size_t k,
+               size_t n, util::ThreadPool& pool);
+
+/// Single-threaded scalar references with the kernels' exact accumulation
+/// order; the kernels run these on hosts without AVX-512.
+void GemmAccReference(const float* a, const float* b, float* c, size_t m,
+                      size_t k, size_t n);
+void GemmNTAccReference(const float* a, const float* b, float* c, size_t m,
+                        size_t k, size_t n);
+
+/// True when GemmAcc / GemmNTAcc run the AVX-512 kernels, false when they
+/// run the references.
+bool GemmSimd();
+
+}  // namespace internal
 
 }  // namespace infuserki::tensor
 

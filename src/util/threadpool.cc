@@ -1,7 +1,9 @@
 #include "util/threadpool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -37,11 +39,12 @@ PoolMetrics& Metrics() {
   return *metrics;
 }
 
-/// Set for the lifetime of each global-pool worker thread; lets nested
-/// parallel loops detect they are already on a worker and run inline
-/// rather than scheduling-and-waiting (which would deadlock once every
-/// worker blocks in a wait).
-thread_local bool t_on_global_pool_worker = false;
+/// Set for the lifetime of each pool worker thread, and on a caller while
+/// it runs its own share of a parallel loop; lets nested parallel loops
+/// detect they are already on a worker and run inline rather than
+/// scheduling-and-waiting (which would deadlock once every worker blocks
+/// in a wait).
+thread_local bool t_on_pool_worker = false;
 
 }  // namespace
 
@@ -88,7 +91,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_on_global_pool_worker = true;
+  t_on_pool_worker = true;
   PoolMetrics& metrics = Metrics();
   for (;;) {
     Task task;
@@ -140,54 +143,82 @@ ThreadPool& GlobalThreadPool() {
   return *pool;
 }
 
-bool OnGlobalPoolWorker() { return t_on_global_pool_worker; }
+bool OnGlobalPoolWorker() { return t_on_pool_worker; }
 
-void ParallelFor(size_t n, size_t grain,
+namespace {
+
+/// Runs fn(0), ..., fn(n - 1) and returns once all of them have finished.
+/// The calling thread and up to `pool.num_threads() - 1` pool tasks claim
+/// indices in order from a shared counter until none is left, so the call
+/// occupies at most as many threads as the pool has, and the caller —
+/// which would otherwise sit idle in the wait — works instead. The
+/// completion group is private to this call: unlike ThreadPool::Wait it
+/// never waits for other callers' tasks, nor for its own tasks that start
+/// after every index is done.
+void RunGroup(ThreadPool& pool, size_t n,
+              const std::function<void(size_t)>& fn) {
+  struct Group {
+    std::atomic<size_t> next{0};
+    Mutex mu;
+    CondVar done;
+    size_t finished GUARDED_BY(mu) = 0;
+  };
+  // Shared with the tasks: a task may start after this call has returned
+  // (and then finds no index left), so the group must outlive this frame.
+  auto group = std::make_shared<Group>();
+  auto claim_and_run = [group, n, &fn] {
+    for (size_t i = group->next++; i < n; i = group->next++) {
+      fn(i);
+      MutexLock lock(group->mu);
+      if (++group->finished == n) group->done.NotifyAll();
+    }
+  };
+  size_t helpers = std::min(n, pool.num_threads()) - 1;
+  for (size_t h = 0; h < helpers; ++h) pool.Schedule(claim_and_run);
+  // The caller runs its share as a worker would: loops nested in it run
+  // inline rather than queueing behind this group's own tasks. It is not a
+  // worker otherwise, or the parallel loop would have run inline.
+  t_on_pool_worker = true;
+  claim_and_run();
+  t_on_pool_worker = false;
+  MutexLock lock(group->mu);
+  while (group->finished != n) group->done.Wait(group->mu);
+}
+
+}  // namespace
+
+void ParallelFor(ThreadPool& pool, size_t n, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  ThreadPool& pool = GlobalThreadPool();
   size_t num_workers = pool.num_threads();
-  if (n <= grain || num_workers <= 1 || t_on_global_pool_worker) {
+  if (n <= grain || num_workers <= 1 || t_on_pool_worker) {
     fn(0, n);
     return;
   }
+  // One chunk per worker at most. Rounding the chunk size up can leave
+  // fewer chunks than that; none is ever empty.
   size_t num_chunks = std::min(num_workers, (n + grain - 1) / grain);
   size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    size_t end = std::min(begin + chunk, n);
-    pool.Schedule([begin, end, &fn] { fn(begin, end); });
-  }
-  pool.Wait();
+  num_chunks = (n + chunk - 1) / chunk;
+  RunGroup(pool, num_chunks, [chunk, n, &fn](size_t c) {
+    size_t begin = c * chunk;
+    fn(begin, std::min(begin + chunk, n));
+  });
+}
+
+void ParallelFor(size_t n, size_t grain,
+                 const std::function<void(size_t, size_t)>& fn) {
+  ParallelFor(GlobalThreadPool(), n, grain, fn);
 }
 
 void ParallelForEach(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   ThreadPool& pool = GlobalThreadPool();
-  if (n == 1 || pool.num_threads() <= 1 || t_on_global_pool_worker) {
+  if (n == 1 || pool.num_threads() <= 1 || t_on_pool_worker) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Private completion group: waits only for the tasks scheduled here, so
-  // concurrent callers (and the pool's global Wait) do not interfere.
-  struct Group {
-    Mutex mu;
-    CondVar done;
-    size_t remaining GUARDED_BY(mu) = 0;
-  };
-  auto group = std::make_shared<Group>();
-  {
-    MutexLock lock(group->mu);
-    group->remaining = n;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    pool.Schedule([i, group, &fn] {
-      fn(i);
-      MutexLock lock(group->mu);
-      if (--group->remaining == 0) group->done.NotifyAll();
-    });
-  }
-  MutexLock lock(group->mu);
-  while (group->remaining != 0) group->done.Wait(group->mu);
+  RunGroup(pool, n, fn);
 }
 
 }  // namespace infuserki::util

@@ -61,24 +61,34 @@ class ThreadPool {
 /// interleaving on single-core hosts and by deployments to pin pool width.
 ThreadPool& GlobalThreadPool();
 
-/// True when the calling thread is one of the global pool's workers. Used
-/// to run nested parallel loops inline instead of deadlocking on the pool's
-/// global quiescence wait.
+/// True when the calling thread is a pool worker (of any pool), or a
+/// caller running its own share of a ParallelFor / ParallelForEach. Used to
+/// run nested parallel loops inline instead of deadlocking once every
+/// worker blocks in a wait.
 bool OnGlobalPoolWorker();
 
-/// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the
-/// global pool. Runs inline when `n` is small, only one thread exists, or
-/// the caller is itself a pool worker (nested parallelism).
+/// Splits [0, n) into at most `pool.num_threads()` contiguous chunks of at
+/// least `grain` indices and runs `fn(begin, end)` on each. The calling
+/// thread and pool workers claim chunks in order until none is left, so
+/// the loop occupies at most `pool.num_threads()` threads, the caller
+/// among them. Blocks until all of THESE chunks finish (a private
+/// completion group — unlike ThreadPool::Wait it does not wait for
+/// unrelated tasks and is safe to call concurrently from several threads).
+/// Runs inline when `n` is small, only one thread exists, or the caller is
+/// itself a pool worker (nested parallelism).
+void ParallelFor(ThreadPool& pool, size_t n, size_t grain,
+                 const std::function<void(size_t, size_t)>& fn);
+
+/// ParallelFor on the global pool.
 void ParallelFor(size_t n, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 
-/// Runs `fn(i)` for every i in [0, n) on the global pool, one task per
-/// index, and blocks until all of THESE tasks finish (a private completion
-/// group — unlike ThreadPool::Wait it does not wait for unrelated tasks
-/// and is safe to call concurrently from several threads). Intended for
-/// coarse-grained fan-out (e.g. one MCQ evaluation per task) whose bodies
-/// may themselves call ParallelFor; those nested loops run inline on the
-/// worker. Runs inline when parallelism is unavailable.
+/// Runs `fn(i)` for every i in [0, n) on the global pool, the calling
+/// thread and pool workers claiming indices as ParallelFor claims chunks,
+/// and blocks until all of THESE indices finish. Intended for
+/// coarse-grained fan-out (e.g. one MCQ evaluation per index) whose bodies
+/// may themselves call ParallelFor; those nested loops run inline. Runs
+/// inline when parallelism is unavailable.
 void ParallelForEach(size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace infuserki::util

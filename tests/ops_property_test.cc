@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "kg/mcq.h"
 #include "kg/synth.h"
@@ -12,6 +14,7 @@
 #include "tensor/ops.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace infuserki {
 namespace {
@@ -94,7 +97,137 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Matmul algebraic properties across shapes ------------------------------
 
 class MatmulSweep
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {
+ protected:
+  // Pools of fixed width, shared by every case: the global pool's width is
+  // whatever the host has.
+  static util::ThreadPool& Pool(size_t width) {
+    static util::ThreadPool* one = new util::ThreadPool(1);
+    static util::ThreadPool* four = new util::ThreadPool(4);
+    return width == 1 ? *one : *four;
+  }
+};
+
+std::vector<float> Random(size_t count, util::Rng* rng) {
+  return Tensor::Randn({count}, rng).vec();
+}
+
+using GemmFn = void (*)(const float*, const float*, float*, size_t, size_t,
+                        size_t, util::ThreadPool&);
+using ReferenceFn = void (*)(const float*, const float*, float*, size_t,
+                             size_t, size_t);
+
+// B is [n, k] for NT and [k, n] for NN; both hold k * n floats.
+void ExpectKernelMatchesReference(GemmFn kernel, ReferenceFn reference,
+                                  size_t m, size_t k, size_t n,
+                                  util::ThreadPool& pool, util::Rng* rng) {
+  std::vector<float> a = Random(m * k, rng);
+  std::vector<float> b = Random(k * n, rng);
+  // A nonzero C: both paths accumulate into it.
+  std::vector<float> expected = Random(m * n, rng);
+  std::vector<float> actual = expected;
+  reference(a.data(), b.data(), expected.data(), m, k, n);
+  kernel(a.data(), b.data(), actual.data(), m, k, n, pool);
+  ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
+                        expected.size() * sizeof(float)),
+            0);
+}
+
+TEST_P(MatmulSweep, KernelEqualsScalarReferenceBitForBit) {
+  auto [m, k, n] = GetParam();
+  util::Rng rng(m * 7 + k * 3 + n);
+  for (size_t width : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(width);
+    ExpectKernelMatchesReference(tensor::internal::GemmNTAcc,
+                                 tensor::internal::GemmNTAccReference, m, k,
+                                 n, Pool(width), &rng);
+    ExpectKernelMatchesReference(tensor::internal::GemmAcc,
+                                 tensor::internal::GemmAccReference, m, k, n,
+                                 Pool(width), &rng);
+  }
+}
+
+// Batched == sequential at the kernel: row i of an m-row product equals the
+// 1-row product of A's row i, bit for bit, whatever the pool width.
+TEST_P(MatmulSweep, RowOfBatchEqualsSingleRowProduct) {
+  auto [m, k, n] = GetParam();
+  util::Rng rng(m * 11 + k * 5 + n);
+  std::vector<float> a = Random(m * k, &rng);
+  std::vector<float> b = Random(k * n, &rng);
+  for (GemmFn kernel :
+       {tensor::internal::GemmNTAcc, tensor::internal::GemmAcc}) {
+    for (size_t width : {size_t{1}, size_t{4}}) {
+      std::vector<float> batch(m * n, 0.0f);
+      kernel(a.data(), b.data(), batch.data(), m, k, n, Pool(width));
+      for (size_t i = 0; i < m; ++i) {
+        std::vector<float> row(n, 0.0f);
+        kernel(a.data() + i * k, b.data(), row.data(), 1, k, n, Pool(width));
+        ASSERT_EQ(std::memcmp(row.data(), batch.data() + i * n,
+                              n * sizeof(float)),
+                  0)
+            << "row " << i << " at pool width " << width;
+      }
+    }
+  }
+}
+
+// The naive loops the kernels replaced, kept as an independent oracle:
+// plain serial sums in whatever order the compiler keeps.
+void NaiveGemmNT(const float* a, const float* b, float* c, size_t m, size_t k,
+                 size_t n) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[j * k + p];
+      c[i * n + j] += acc;
+    }
+  }
+}
+
+void NaiveGemmNN(const float* a, const float* b, float* c, size_t m, size_t k,
+                 size_t n) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t p = 0; p < k; ++p) {
+      for (size_t j = 0; j < n; ++j) {
+        c[i * n + j] += a[i * k + p] * b[p * n + j];
+      }
+    }
+  }
+}
+
+// Any two orders of a k-term float sum differ by at most twice the standard
+// bound k * 2^-24 * sum |a_p * b_p| (C starts at zero, so no other rounding).
+TEST_P(MatmulSweep, KernelAgreesWithNaiveLoopsWithinRoundingBound) {
+  auto [m, k, n] = GetParam();
+  util::Rng rng(m * 13 + k * 7 + n);
+  std::vector<float> a = Random(m * k, &rng);
+  std::vector<float> b = Random(k * n, &rng);
+  const double unit = std::ldexp(1.0, -24);
+  for (bool nt : {true, false}) {
+    std::vector<float> kernel(m * n, 0.0f), naive(m * n, 0.0f);
+    if (nt) {
+      tensor::internal::GemmNTAcc(a.data(), b.data(), kernel.data(), m, k, n,
+                                  Pool(4));
+      NaiveGemmNT(a.data(), b.data(), naive.data(), m, k, n);
+    } else {
+      tensor::internal::GemmAcc(a.data(), b.data(), kernel.data(), m, k, n,
+                                Pool(4));
+      NaiveGemmNN(a.data(), b.data(), naive.data(), m, k, n);
+    }
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        double magnitude = 0.0;
+        for (size_t p = 0; p < k; ++p) {
+          float bv = nt ? b[j * k + p] : b[p * n + j];
+          magnitude += std::fabs(double{a[i * k + p]} * bv);
+        }
+        double delta = std::fabs(double{kernel[i * n + j]} - naive[i * n + j]);
+        ASSERT_LE(delta, 2.0 * k * unit * magnitude)
+            << (nt ? "NT" : "NN") << " C[" << i << "][" << j << "]";
+      }
+    }
+  }
+}
 
 TEST_P(MatmulSweep, DistributesOverAddition) {
   auto [m, k, n] = GetParam();
@@ -110,11 +243,42 @@ TEST_P(MatmulSweep, DistributesOverAddition) {
   }
 }
 
+// Register-block edges: every row tail (m mod 4), k tail (k mod 16) and
+// column tail of the 4x4 / 2x8 / 1x16 NT and 64-column NN blocks, plus the
+// paper-scale shapes (the vocabulary head has n = 1813).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatmulSweep,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{5}),
-                       ::testing::Values(size_t{3}, size_t{16}),
-                       ::testing::Values(size_t{2}, size_t{9})));
+    ::testing::Combine(
+        ::testing::Values(size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                          size_t{5}, size_t{6}, size_t{7}, size_t{8},
+                          size_t{9}, size_t{33}, size_t{256}),
+        ::testing::Values(size_t{1}, size_t{5}, size_t{16}, size_t{17},
+                          size_t{64}, size_t{100}, size_t{128}),
+        ::testing::Values(size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                          size_t{64}, size_t{128}, size_t{1813})));
+
+// 0 * NaN is NaN: a zero in A must not hide a NaN in B, forward or in the
+// weight gradient.
+TEST(Matmul, ZeroTimesNanPropagates) {
+  const float nan = std::nanf("");
+  Tensor a = Tensor::FromData({1, 2}, {0.0f, 1.0f});
+  Tensor b = Tensor::FromData({2, 2}, {nan, nan, 1.0f, 1.0f});
+  Tensor out = tensor::Matmul(a, b);
+  EXPECT_TRUE(std::isnan(out.at(0, 0)));
+  EXPECT_TRUE(std::isnan(out.at(0, 1)));
+
+  // dB = A^T dC with dC = [[NaN, 1]]: row 0 of dB is 0 * dC.
+  Tensor weights = Tensor::FromData({2, 2}, {1.0f, 2.0f, 3.0f, 4.0f},
+                                    /*requires_grad=*/true);
+  Tensor upstream = Tensor::FromData({1, 2}, {nan, 1.0f});
+  tensor::SumAll(tensor::Mul(tensor::Matmul(a, weights), upstream))
+      .Backward();
+  const float* grad = weights.grad().data();
+  EXPECT_TRUE(std::isnan(grad[0]));
+  EXPECT_EQ(grad[1], 0.0f);
+  EXPECT_TRUE(std::isnan(grad[2]));
+  EXPECT_EQ(grad[3], 1.0f);
+}
 
 // --- MCQ construction invariants across KGs, templates, and seeds ----------
 

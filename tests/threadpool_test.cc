@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <future>
 #include <numeric>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -91,6 +94,39 @@ TEST(ParallelFor, EmptyAndSmallRanges) {
     total += end - begin;
   });
   EXPECT_EQ(total, 3u);
+}
+
+// ParallelFor waits for its own chunks only: another thread's task that is
+// still blocked on the same pool must not hold it up.
+TEST(ParallelFor, ReturnsWhileAnotherCallersTaskIsBlocked) {
+  ThreadPool& pool = GlobalThreadPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs two pool workers";
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::thread other([&] {
+    pool.Schedule([&] {
+      started = true;
+      while (!release) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  other.join();
+  while (!started) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  std::future<size_t> covered = std::async(std::launch::async, [] {
+    std::atomic<size_t> total{0};
+    ParallelFor(64, 1, [&](size_t begin, size_t end) {
+      total.fetch_add(end - begin);
+    });
+    return total.load();
+  });
+  bool returned = covered.wait_for(std::chrono::seconds(10)) ==
+                  std::future_status::ready;
+  release = true;  // lets a ParallelFor stuck on the blocked task finish
+  EXPECT_TRUE(returned) << "ParallelFor waited for an unrelated task";
+  EXPECT_EQ(covered.get(), 64u);
+  pool.Wait();
 }
 
 TEST(TablePrinter, AlignedOutputAndCsv) {
