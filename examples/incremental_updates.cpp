@@ -65,13 +65,10 @@ int main(int argc, char** argv) {
     std::vector<serve::Response> responses;
     for (const std::string& query : queries) {
       serve::Response response = server.Run({query, 8});
-      std::string answer =
-          response.status.ok()
-              ? experiment.tokenizer().Decode(response.tokens).value()
-              : response.status.message();
       std::printf("  [%s v%llu] %s\n", label,
                   static_cast<unsigned long long>(response.adapter_sequence),
-                  answer.c_str());
+                  response.status.ok() ? response.text.c_str()
+                                       : response.status.message().c_str());
       responses.push_back(std::move(response));
     }
     return responses;
@@ -138,7 +135,7 @@ int main(int argc, char** argv) {
   size_t changed = 0;
   for (size_t i = 0; i < before.size(); ++i) {
     if (before[i].status.ok() && after[i].status.ok() &&
-        before[i].tokens != after[i].tokens) {
+        before[i].text != after[i].text) {
       ++changed;
     }
   }

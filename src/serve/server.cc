@@ -919,7 +919,14 @@ void InferenceServer::SchedulerLoop() {
       if (done) {
         park(&f);
         f.response.tokens = std::move(f.generated);
-        Deliver(&f, util::Status::OK());
+        util::StatusOr<std::string> text =
+            tokenizer_.Decode(f.response.tokens);
+        if (!text.ok()) {
+          Deliver(&f, text.status());
+        } else {
+          f.response.text = std::move(*text);
+          Deliver(&f, util::Status::OK());
+        }
         release(&rows[i]);
         continue;
       }

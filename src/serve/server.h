@@ -120,10 +120,8 @@ struct Request {
 /// malformed input; other codes for permanent decode failures.
 struct Response {
   util::Status status = util::Status::OK();
-  /// Newly generated ids (no prompt, no <eos>). The server returns ids
-  /// only: a caller that wants text decodes them with its tokenizer, so a
-  /// response a client keeps holds no second copy of the stream.
-  std::vector<int> tokens;
+  std::vector<int> tokens;  // newly generated ids (no prompt, no <eos>)
+  std::string text;         // decoded `tokens`
   bool prefix_hit = false;  // served from a cached prefill
   // Hit a permanent prefill / decode-step fault and was re-prefilled on a
   // fresh slot, inside the batch, without the prefix cache (DESIGN.md §10).

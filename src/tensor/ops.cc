@@ -26,9 +26,10 @@ constexpr size_t kParallelGrain = 8;
 // order is unchanged — so the inline/parallel choice never changes results.
 constexpr size_t kGemmParallelMinWork = 1 << 20;
 
-// Ragged attention's threshold: its scalar loops do several times the SIMD
-// kernels' work per multiply-add, so splitting pays off sooner.
-constexpr size_t kAttentionParallelMinWork = 1 << 15;
+// The threshold for the scalar loops (GemmTNAcc, ragged attention): they do
+// several times the SIMD kernels' work per multiply-add, so splitting pays
+// off sooner.
+constexpr size_t kScalarParallelMinWork = 1 << 15;
 
 size_t GemmRowGrain(size_t m, size_t k, size_t n) {
   return (m * k * n < kGemmParallelMinWork) ? m : kParallelGrain;
@@ -364,7 +365,7 @@ void GemmNNKernelRows(const float* a, const float* b, float* c, size_t k,
 void GemmTNAcc(const float* a, const float* b, float* c, size_t m, size_t k,
                size_t n) {
   CountGemm(m, k, n);
-  size_t grain = (m * k * n < kGemmParallelMinWork) ? k : kParallelGrain;
+  size_t grain = (m * k * n < kScalarParallelMinWork) ? k : kParallelGrain;
   util::ParallelFor(k, grain, [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
       float* c_row = c + p * n;
@@ -1331,7 +1332,7 @@ Tensor CausalSelfAttentionRagged(const Tensor& q,
   for (size_t r = 0; r < row_lens.size(); ++r) {
     total_work += 4 * row_lens[r] * keys[r].dim(0) * d;
   }
-  if (row_lens.size() == 1 || total_work < kAttentionParallelMinWork) {
+  if (row_lens.size() == 1 || total_work < kScalarParallelMinWork) {
     for (size_t r = 0; r < row_lens.size(); ++r) attend_row(r);
   } else {
     util::ParallelForEach(row_lens.size(), attend_row);

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace infuserki::text {
 
@@ -85,19 +84,35 @@ std::vector<int> Tokenizer::EncodeWithSpecials(std::string_view text,
 
 util::StatusOr<std::string> Tokenizer::Decode(
     const std::vector<int>& ids) const {
-  std::vector<std::string> words;
+  // Two passes: validate and size, then append into one exact-size buffer
+  // (a served response keeps its text for as long as the client does).
+  auto special = [](int id) {
+    return id == kPadId || id == kBosId || id == kEosId;
+  };
+  size_t words = 0;
+  size_t length = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     int id = ids[i];
-    if (id == kPadId || id == kBosId || id == kEosId) continue;
+    if (special(id)) continue;
     if (id < 0 || static_cast<size_t>(id) >= id_to_word_.size()) {
       return util::Status::OutOfRange(
           "token id " + std::to_string(id) + " at position " +
           std::to_string(i) + " outside vocabulary of " +
           std::to_string(id_to_word_.size()));
     }
-    words.push_back(id_to_word_[static_cast<size_t>(id)]);
+    length += id_to_word_[static_cast<size_t>(id)].size();
+    ++words;
   }
-  return util::Join(words, " ");
+  std::string text;
+  text.reserve(length + (words > 0 ? words - 1 : 0));
+  bool first = true;
+  for (int id : ids) {
+    if (special(id)) continue;
+    if (!first) text += ' ';
+    text += id_to_word_[static_cast<size_t>(id)];
+    first = false;
+  }
+  return text;
 }
 
 int Tokenizer::WordId(const std::string& word) const {

@@ -106,6 +106,7 @@ TEST_F(ServeFixture, ServesBitExactGreedyDecodeAndReusesPrefix) {
   Response first = server.Run({prompt, 8});
   ASSERT_TRUE(first.status.ok()) << first.status;
   EXPECT_EQ(first.tokens, reference);
+  EXPECT_EQ(first.text, tokenizer_->Decode(reference).value());
   EXPECT_FALSE(first.prefix_hit);
   EXPECT_FALSE(first.degraded);
 

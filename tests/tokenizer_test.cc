@@ -45,6 +45,13 @@ TEST(Tokenizer, RoundTripDecode) {
   EXPECT_EQ(ids.front(), kBosId);
   EXPECT_EQ(ids.back(), kEosId);
   EXPECT_EQ(tokenizer.Decode(ids).value(), "alpha gamma");
+  // Specials are skipped wherever they sit.
+  int alpha = tokenizer.WordId("alpha");
+  int gamma = tokenizer.WordId("gamma");
+  EXPECT_EQ(tokenizer.Decode({}).value(), "");
+  EXPECT_EQ(tokenizer.Decode({kPadId, kEosId}).value(), "");
+  EXPECT_EQ(tokenizer.Decode({alpha, kPadId, kBosId, gamma, kEosId}).value(),
+            "alpha gamma");
 }
 
 TEST(Tokenizer, DecodeRejectsOutOfRangeIdsWithoutAborting) {
